@@ -1,7 +1,6 @@
 #include "experiments.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
@@ -81,23 +80,11 @@ BenchOptions parse_cli(const char* prog, int argc, char** argv, int first,
     };
     const auto take_value = [&](std::uint64_t& slot) {
       const char* text = take_raw();
-      // Strict digits-only: strtoull alone would skip leading whitespace
-      // and wrap negatives like " -3" to ~2^64.
-      bool digits_only = *text != '\0';
-      for (const char* p = text; *p != '\0'; ++p) {
-        if (*p < '0' || *p > '9') {
-          digits_only = false;
-          break;
-        }
-      }
-      errno = 0;
-      const unsigned long long v = std::strtoull(text, nullptr, 10);
-      if (!digits_only || errno == ERANGE) {
+      if (!parse_u64_strict(text, &slot)) {
         std::cerr << prog << ": " << arg
                   << " needs a non-negative integer, got '" << text << "'\n";
         std::exit(2);
       }
-      slot = v;
     };
     if (arg == "--trials") {
       take_value(o.trials);

@@ -9,7 +9,6 @@
 // invariant checking and optional repro minimization. The historical
 // bench_* binaries are thin wrappers over the same registry
 // (`bench_table1` == `ssbft_bench run table1`).
-#include <cerrno>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -258,11 +257,8 @@ int soak_command(int argc, char** argv) {
         std::exit(2);
       }
       const std::string v = argv[++i];
-      errno = 0;
-      char* end = nullptr;
-      const unsigned long long parsed = std::strtoull(v.c_str(), &end, 10);
-      if (v.empty() || v.find_first_not_of("0123456789") != std::string::npos ||
-          errno != 0 || end != v.c_str() + v.size()) {
+      std::uint64_t parsed = 0;
+      if (!parse_u64_strict(v, &parsed)) {
         std::cerr << "ssbft_bench soak: " << arg
                   << " needs a non-negative integer, got '" << v << "'\n";
         std::exit(2);

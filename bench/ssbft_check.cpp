@@ -7,7 +7,8 @@
 //
 // Exit codes: 0 = all runs pass (censored never-converged runs pass unless
 // --require-convergence), 1 = at least one invariant violation, 2 = decode
-// error (malformed or forged trace input).
+// error (malformed or forged trace input) or bad usage, such as a flag
+// value that is not a number.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "harness/checker.h"
+#include "harness/checkpoint.h"
 
 namespace {
 
@@ -42,7 +44,7 @@ void usage() {
       "  --window W            override the header's confirmation window\n"
       "  --commitment-only     print only the aggregate commitment hex\n"
       "\n"
-      "exit codes: 0 ok, 1 invariant violation, 2 decode error\n");
+      "exit codes: 0 ok, 1 invariant violation, 2 decode error or bad usage\n");
 }
 
 }  // namespace
@@ -54,24 +56,44 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto take = [&](const char* flag) -> const char* {
+    auto take = [&]() -> const char* {
       if (i + 1 >= argc) {
-        std::fprintf(stderr, "ssbft_check: %s needs a value\n", flag);
+        std::fprintf(stderr, "ssbft_check: %s needs a value\n", arg.c_str());
         std::exit(2);
       }
       return argv[++i];
+    };
+    // A mistyped number must not silently read as 0 ("don't enforce").
+    auto reject = [&](const char* what, const char* text) {
+      std::fprintf(stderr, "ssbft_check: %s needs %s, got '%s'\n",
+                   arg.c_str(), what, text);
+      std::exit(2);
+    };
+    auto take_u64 = [&]() -> std::uint64_t {
+      const char* text = take();
+      std::uint64_t v = 0;
+      if (!ssbft::parse_u64_strict(text, &v)) {
+        reject("a non-negative integer", text);
+      }
+      return v;
     };
     if (arg == "--help" || arg == "-h") {
       usage();
       return 0;
     } else if (arg == "--bound") {
-      opts.bound = std::strtoull(take("--bound"), nullptr, 10);
+      opts.bound = take_u64();
     } else if (arg == "--require-convergence") {
       opts.require_convergence = true;
     } else if (arg == "--coin-agreement") {
-      opts.coin_agreement = std::strtod(take("--coin-agreement"), nullptr);
+      const char* text = take();
+      char* end = nullptr;
+      const double p = std::strtod(text, &end);
+      if (end == text || *end != '\0' || !(p >= 0.0 && p <= 1.0)) {
+        reject("a rate in [0, 1]", text);
+      }
+      opts.coin_agreement = p;
     } else if (arg == "--window") {
-      opts.confirm_window = std::strtoull(take("--window"), nullptr, 10);
+      opts.confirm_window = take_u64();
     } else if (arg == "--commitment-only") {
       commitment_only = true;
     } else if (!arg.empty() && arg[0] == '-') {

@@ -53,9 +53,7 @@ int main(int argc, char** argv) {
   auto factory = [spec](const ProtocolEnv& env, Rng rng) {
     return std::make_unique<CoinHost>(env, spec, rng);
   };
-  Engine engine(cfg, factory,
-                f > 0 ? make_fm_coin_attacker(PrimeField::kDefaultPrime, 0)
-                      : nullptr);
+  Engine engine(cfg, factory, f > 0 ? make_fm_coin_attacker(0) : nullptr);
   engine.run_beats(beats);
 
   std::cout << "self-stabilizing coin stream: n=" << n << " f=" << f

@@ -168,7 +168,7 @@ EngineBundle build(const Options& o, std::uint64_t seed) {
     } else if (o.adversary == "adaptive") {
       adv = make_adaptive_quorum_splitter(k, 0);
     } else if (o.adversary == "coinattack") {
-      adv = make_fm_coin_attacker(PrimeField::kDefaultPrime, 0);
+      adv = make_fm_coin_attacker(0);
     } else {
       usage("bad --adversary");
     }

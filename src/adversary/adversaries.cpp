@@ -184,8 +184,7 @@ class AdaptiveQuorumSplitter final : public Adversary {
 
 class FmCoinAttacker final : public Adversary {
  public:
-  FmCoinAttacker(std::uint64_t prime, ChannelId base)
-      : field_(prime), value_bits_(field_.value_bits()), base_(base) {}
+  explicit FmCoinAttacker(ChannelId base) : base_(base) {}
 
   void act(AdversaryContext& ctx) override {
     const std::uint32_t n = ctx.n();
@@ -202,8 +201,7 @@ class FmCoinAttacker final : public Adversary {
       auto it = now.rows.find(m.to);
       if (it == now.rows.end()) continue;
       ByteReader r(m.payload);
-      if (!r.masked_u64_vec_into(coeffs_.data(), coeffs_.size(),
-                                 field_.modulus(), value_bits_) ||
+      if (!r.masked_u64_vec_into(coeffs_.data(), coeffs_.size(), kAbsent) ||
           !r.at_end()) {
         continue;
       }
@@ -235,8 +233,7 @@ class FmCoinAttacker final : public Adversary {
         Poly row = dealing.row(field_, node_point(to));
         auto coeffs = row.coeffs();
         coeffs.resize(std::size_t{f} + 1, 0);
-        w.masked_u64_vec(coeffs.data(), coeffs.size(), field_.modulus(),
-                         value_bits_);
+        w.masked_u64_vec(coeffs.data(), coeffs.size(), kAbsent);
         ctx.send(self, to, base_, w.data());
       }
       // Round 2: honest cross values (keeps every dealing's happy set
@@ -246,15 +243,14 @@ class FmCoinAttacker final : public Adversary {
         auto rows_it = rec.rows.find(self);
         if (rows_it != rec.rows.end()) {
           for (NodeId to = 0; to < n; ++to) {
-            std::vector<std::uint64_t> vals(n, field_.modulus());
+            std::vector<std::uint64_t> vals(n, kAbsent);
             for (NodeId d = 0; d < n; ++d) {
               if (rows_it->second[d]) {
                 vals[d] = rows_it->second[d]->eval(field_, node_point(to));
               }
             }
             ByteWriter w;
-            w.masked_u64_vec(vals.data(), vals.size(), field_.modulus(),
-                             value_bits_);
+            w.masked_u64_vec(vals.data(), vals.size(), kAbsent);
             ctx.send(self, to, static_cast<ChannelId>(base_ + 1), w.data());
           }
         }
@@ -277,7 +273,7 @@ class FmCoinAttacker final : public Adversary {
         const auto& rec = hist_[2];
         auto rows_it = rec.rows.find(self);
         if (rows_it != rec.rows.end()) {
-          std::vector<std::uint64_t> truth(n, field_.modulus());
+          std::vector<std::uint64_t> truth(n, kAbsent);
           for (NodeId d = 0; d < n; ++d) {
             if (rows_it->second[d]) {
               truth[d] = rows_it->second[d]->eval(field_, 0);
@@ -289,8 +285,7 @@ class FmCoinAttacker final : public Adversary {
               for (auto& v : vals) v = field_.uniform(ctx.rng());
             }
             ByteWriter w;
-            w.masked_u64_vec(vals.data(), vals.size(), field_.modulus(),
-                             value_bits_);
+            w.masked_u64_vec(vals.data(), vals.size(), kAbsent);
             ctx.send(self, to, static_cast<ChannelId>(base_ + 3), w.data());
           }
         }
@@ -307,8 +302,10 @@ class FmCoinAttacker final : public Adversary {
     std::map<NodeId, std::vector<std::optional<Poly>>> rows;
   };
 
+  // The coin's "no value" sentinel (fm_coin.cpp): the modulus itself.
+  static constexpr std::uint64_t kAbsent = PrimeField::kPrime;
+
   PrimeField field_;
-  unsigned value_bits_;  // cached; the codec calls sit in per-message loops
   ChannelId base_;
   std::vector<std::uint64_t> coeffs_;  // deal-decode scratch, reused per act
   std::deque<BeatRecord> hist_;  // [0] = previous beat, [1] = two ago, ...
@@ -348,9 +345,8 @@ std::unique_ptr<Adversary> make_adaptive_quorum_splitter(
   return std::make_unique<AdaptiveQuorumSplitter>(k, clock_channel);
 }
 
-std::unique_ptr<Adversary> make_fm_coin_attacker(std::uint64_t prime,
-                                                 ChannelId coin_base) {
-  return std::make_unique<FmCoinAttacker>(prime, coin_base);
+std::unique_ptr<Adversary> make_fm_coin_attacker(ChannelId coin_base) {
+  return std::make_unique<FmCoinAttacker>(coin_base);
 }
 
 }  // namespace ssbft

@@ -59,8 +59,7 @@ std::unique_ptr<Adversary> make_adaptive_quorum_splitter(ClockValue k,
 // then splits the correct nodes — happy-vote equivocation (grade 2 vs 1)
 // and recover-share equivocation (real shares to one half, garbage to the
 // other), probing the recovery-divergence gap documented in fm_coin.h.
-// `coin_base` is the pipeline's first channel; `prime` the coin's field.
-std::unique_ptr<Adversary> make_fm_coin_attacker(std::uint64_t prime,
-                                                 ChannelId coin_base);
+// `coin_base` is the pipeline's first channel.
+std::unique_ptr<Adversary> make_fm_coin_attacker(ChannelId coin_base);
 
 }  // namespace ssbft

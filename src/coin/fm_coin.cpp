@@ -12,14 +12,13 @@ namespace {
 
 // Sentinel carried in cross/share vectors for "no value": the modulus
 // itself, which can never be a canonical element.
-std::uint64_t sentinel(const PrimeField& F) { return F.modulus(); }
+constexpr std::uint64_t kSentinel = PrimeField::kPrime;
 
 }  // namespace
 
 void FmCoinScratch::ensure(const PrimeField& F, std::uint32_t n_nodes,
                            std::uint32_t faults) {
-  if (modulus == F.modulus() && n == n_nodes && f == faults) return;
-  modulus = F.modulus();
+  if (n == n_nodes && f == faults) return;
   n = n_nodes;
   f = faults;
   points.resize(n);
@@ -35,16 +34,14 @@ void FmCoinScratch::ensure(const PrimeField& F, std::uint32_t n_nodes,
 }
 
 FmCoinInstance::FmCoinInstance(const ProtocolEnv& env,
-                               const FmCoinParams& params, Rng rng,
+                               const FmCoinParams&, Rng rng,
                                std::shared_ptr<FmCoinScratch> scratch)
     : env_(env),
-      field_(params.resolve_prime()),
       rng_(rng),
       dealing_(GvssDealing::sample(field_, env.f, rng_)),
       scratch_(scratch != nullptr ? std::move(scratch)
                                   : std::make_shared<FmCoinScratch>()),
       words_(bitword_count(env.n)),
-      value_bits_(field_.value_bits()),
       row_valid_(env.n, 0),
       row_evals_(std::size_t{env.n} * (env.n + 1), 0),
       cross_matches_(env.n, 0),
@@ -52,8 +49,6 @@ FmCoinInstance::FmCoinInstance(const ProtocolEnv& env,
       voted_words_(std::size_t{env.n} * words_, 0),
       vote_valid_(env.n, 0),
       grades_(env.n, GvssGrade::kNone) {
-  SSBFT_REQUIRE_MSG(field_.modulus() > env.n,
-                    "coin field must have modulus > n (Remark 2.3)");
   scratch_->ensure(field_, env_.n, env_.f);
 }
 
@@ -101,8 +96,7 @@ void FmCoinInstance::send_deal(Outbox& out, ChannelId ch) {
   for (NodeId j = 0; j < env_.n; ++j) {
     dealing_.row_into(field_, j, scratch_->row_buf.data());
     ByteWriter& w = out.writer();
-    w.masked_u64_vec(scratch_->row_buf.data(), width, sentinel(field_),
-                     value_bits_);
+    w.masked_u64_vec(scratch_->row_buf.data(), width, kSentinel);
     out.send(j, ch, w.data());
   }
 }
@@ -117,8 +111,7 @@ void FmCoinInstance::recv_deal(const Inbox& in, ChannelId ch) {
     // Masked-out coefficients decode to the sentinel, which
     // validate_row_raw rejects as non-canonical — a Byzantine dealer gains
     // nothing by masking.
-    if (!r.masked_u64_vec_into(scratch_->row_buf.data(), width,
-                               sentinel(field_), value_bits_) ||
+    if (!r.masked_u64_vec_into(scratch_->row_buf.data(), width, kSentinel) ||
         !r.at_end()) {
       continue;
     }
@@ -140,11 +133,10 @@ void FmCoinInstance::recv_deal(const Inbox& in, ChannelId ch) {
 void FmCoinInstance::send_cross(Outbox& out, ChannelId ch) {
   for (NodeId j = 0; j < env_.n; ++j) {
     for (NodeId d = 0; d < env_.n; ++d) {
-      scratch_->vals[d] = row_valid_[d] ? eval_at_node(d, j) : sentinel(field_);
+      scratch_->vals[d] = row_valid_[d] ? eval_at_node(d, j) : kSentinel;
     }
     ByteWriter& w = out.writer();
-    w.masked_u64_vec(scratch_->vals.data(), env_.n, sentinel(field_),
-                     value_bits_);
+    w.masked_u64_vec(scratch_->vals.data(), env_.n, kSentinel);
     out.send(j, ch, w.data());
   }
 }
@@ -155,8 +147,7 @@ void FmCoinInstance::recv_cross(const Inbox& in, ChannelId ch) {
   for (NodeId j = 0; j < env_.n; ++j) {
     if (payloads[j] == nullptr) continue;
     ByteReader r(*payloads[j]);
-    if (!r.masked_u64_vec_into(scratch_->vals.data(), env_.n,
-                               sentinel(field_), value_bits_) ||
+    if (!r.masked_u64_vec_into(scratch_->vals.data(), env_.n, kSentinel) ||
         !r.at_end()) {
       continue;
     }
@@ -204,11 +195,10 @@ void FmCoinInstance::recv_votes(const Inbox& in, ChannelId ch) {
 // the adversary cannot predict the coin (Observation 2.1).
 void FmCoinInstance::send_shares(Outbox& out, ChannelId ch) {
   for (NodeId d = 0; d < env_.n; ++d) {
-    scratch_->vals[d] = row_valid_[d] ? eval_at_zero(d) : sentinel(field_);
+    scratch_->vals[d] = row_valid_[d] ? eval_at_zero(d) : kSentinel;
   }
   ByteWriter& w = out.writer();
-  w.masked_u64_vec(scratch_->vals.data(), env_.n, sentinel(field_),
-                   value_bits_);
+  w.masked_u64_vec(scratch_->vals.data(), env_.n, kSentinel);
   out.broadcast(ch, w.data());
 }
 
@@ -221,7 +211,7 @@ void FmCoinInstance::recv_shares(const Inbox& in, ChannelId ch) {
     ByteReader r(*payloads[j]);
     if (!r.masked_u64_vec_into(
             scratch_->shares.data() + std::size_t{j} * env_.n, env_.n,
-            sentinel(field_), value_bits_) ||
+            kSentinel) ||
         !r.at_end()) {
       continue;
     }

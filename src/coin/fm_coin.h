@@ -34,14 +34,14 @@
 // Deal, cross and share vectors travel as masked field vectors
 // (ByteWriter::masked_u64_vec): a validity bitmask (1 bit per entry, the
 // sentinel "no value" entries masked out) followed by the present values
-// bit-packed at field.value_bits() bits each (61 for the default Mersenne
-// prime instead of 64, and no length prefix — the vector length is fixed
-// by (n, f), which both sides know). Vote masks travel as raw
-// ceil(n/8)-byte bitmasks (ByteWriter::bits). Decoding is strict: mask or
-// padding garbage, truncation and trailing bytes are all rejected exactly
-// like the old u64_vec `at_end()` contract, and a masked-out entry decodes
-// to the sentinel, so the round logic is unchanged — only the bytes on the
-// wire shrink (a missing row costs 1 bit, not 8 bytes).
+// bit-packed at 61 bits each (instead of 64, and no length prefix — the
+// vector length is fixed by (n, f), which both sides know). Vote masks
+// travel as raw ceil(n/8)-byte bitmasks (ByteWriter::bits). Decoding is
+// strict: mask or padding garbage, truncation and trailing bytes are all
+// rejected exactly like the old u64_vec `at_end()` contract, and a
+// masked-out entry decodes to the sentinel, so the round logic is
+// unchanged — only the bytes on the wire shrink (a missing row costs 1
+// bit, not 8 bytes).
 //
 // Hot-path layout
 // ---------------
@@ -66,25 +66,18 @@
 
 namespace ssbft {
 
-struct FmCoinParams {
-  // Field modulus. 0 selects the default 61-bit Mersenne prime. Any prime
-  // > n works (Remark 2.3: derived canonically from the code's constants);
-  // smaller primes skew the parity coin but remain constant-probability.
-  std::uint64_t prime = 0;
+// The coin has no tunables: the field is fixed at Mersenne-61 (field/fp.h),
+// a prime > n for every committee size (Remark 2.3). The type stays as the
+// spec and instance constructors' parameter slot.
+struct FmCoinParams {};
 
-  std::uint64_t resolve_prime() const {
-    return prime == 0 ? PrimeField::kDefaultPrime : prime;
-  }
-};
-
-// Round-transient buffers plus the (field, n, f) recovery tables, shared by
-// all instances of one coin pipeline (and across beats). Instances built
+// Round-transient buffers plus the (n, f) recovery tables, shared by all
+// instances of one coin pipeline (and across beats). Instances built
 // without one allocate a private copy, so standalone use needs no plumbing.
 struct FmCoinScratch {
-  // Idempotent per (modulus, n, f); rebuilds when the shape changes.
+  // Idempotent per (n, f); rebuilds when the shape changes.
   void ensure(const PrimeField& F, std::uint32_t n, std::uint32_t f);
 
-  std::uint64_t modulus = 0;
   std::uint32_t n = 0;
   std::uint32_t f = 0;
 
@@ -140,7 +133,6 @@ class FmCoinInstance final : public CoinInstance {
   GvssDealing dealing_;  // my own secret's dealing
   std::shared_ptr<FmCoinScratch> scratch_;
   std::size_t words_;    // bitword_count(n)
-  unsigned value_bits_;  // field_.value_bits(), for the masked wire codec
 
   // Per dealer d: whether my row of d's dealing is valid, and its
   // evaluations at 0 and every node point (n x (n+1) flat table) — the one

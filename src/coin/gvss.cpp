@@ -37,11 +37,9 @@ void GvssRecoverTable::init(const PrimeField& F, std::uint32_t n,
   SSBFT_REQUIRE_MSG(n > f, "recover table needs n > f");
   n_ = n;
   f_ = f;
-  modulus_ = F.modulus();
   const std::size_t m = std::size_t{f} + 1;  // prefix subset {1..f+1}
   // Denominators d_i = prod_{j != i} (x_i - x_j), x = 1..f+1, inverted in
   // one batch pass.
-  SSBFT_REQUIRE_MSG(F.modulus() > n, "recover table needs modulus > n");
   std::vector<std::uint64_t> denom(m, 1), scratch(m);
   for (std::size_t i = 0; i < m; ++i) {
     for (std::size_t j = 0; j < m; ++j) {
@@ -76,10 +74,10 @@ namespace {
 
 // True iff the first f+1 shares are exactly the canonical prefix 1..f+1 and
 // every later share's x is a tabulated node point — the steady-state shape.
-bool table_applies(const GvssRecoverTable* table, const PrimeField& F,
-                   std::uint32_t f, const std::vector<RsPoint>& shares) {
+bool table_applies(const GvssRecoverTable* table, std::uint32_t f,
+                   const std::vector<RsPoint>& shares) {
   if (table == nullptr || !table->ready()) return false;
-  if (table->f() != f || table->modulus() != F.modulus()) return false;
+  if (table->f() != f) return false;
   for (std::size_t i = 0; i <= f; ++i) {
     if (shares[i].x != i + 1) return false;
   }
@@ -100,7 +98,7 @@ std::optional<std::uint64_t> gvss_recover(const PrimeField& F, std::uint32_t f,
   if (shares.size() < std::size_t{f} + 1) return std::nullopt;
   // Fast path: the first f+1 shares define a candidate; if *every* share
   // agrees it is the unique degree-f codeword (zero errors).
-  if (table_applies(table, F, f, shares)) {
+  if (table_applies(table, f, shares)) {
     // Allocation-free: candidate values at the remaining share points come
     // straight from the precomputed Lagrange rows as table-row / share dot
     // products, with the prefix values staged flat once for the kernel.

@@ -62,7 +62,7 @@ bool gvss_happy(std::uint32_t n, std::uint32_t f, bool row_valid,
 GvssGrade gvss_grade(std::uint32_t n, std::uint32_t f, std::uint32_t votes);
 
 // Precomputed Lagrange tables for the recovery fast path over the fixed
-// node points 1..n, cached per (field, n, f) — typically one per coin
+// node points 1..n, cached per (n, f) — typically one per coin
 // pipeline, shared by its staggered instances and reused beat after beat.
 //
 // The tables carry, for the canonical prefix subset {node_point(0..f)} =
@@ -85,7 +85,6 @@ class GvssRecoverTable {
   bool ready() const { return n_ != 0; }
   std::uint32_t n() const { return n_; }
   std::uint32_t f() const { return f_; }
-  std::uint64_t modulus() const { return modulus_; }
 
   // L_i(0) for i <= f (f+1 entries).
   const std::uint64_t* zero_row() const { return zero_row_.data(); }
@@ -102,7 +101,6 @@ class GvssRecoverTable {
  private:
   std::uint32_t n_ = 0;
   std::uint32_t f_ = 0;
-  std::uint64_t modulus_ = 0;
   std::vector<std::uint64_t> zero_row_;
   std::vector<std::uint64_t> target_rows_;  // (n - f - 1) rows x (f+1)
   mutable std::vector<std::uint64_t> ys_scratch_;  // f+1
@@ -116,7 +114,7 @@ class GvssRecoverTable {
 // dealing); callers map that to the canonical secret 0 so all correct nodes
 // that fail, fail identically.
 //
-// When `table` is provided (ready, same field/f) and the shares' first f+1
+// When `table` is provided (ready, same f) and the shares' first f+1
 // x's are the canonical prefix 1..f+1, the fast path runs entirely out of
 // the precomputed tables and allocates nothing. All paths compute the same
 // field elements, so results are bit-identical with or without a table.

@@ -1,50 +1,12 @@
 #include "field/fp.h"
 
 #include "field/fp_simd.h"
-#include "field/primes.h"
 
 namespace ssbft {
 
-namespace {
-
-// Unchecked generic modmul for the batch kernels (inputs pre-validated).
-inline std::uint64_t mul_mod(std::uint64_t a, std::uint64_t b,
-                             std::uint64_t p) {
-  return static_cast<std::uint64_t>(static_cast<unsigned __int128>(a) * b % p);
-}
-
-inline std::uint64_t mul_m61(std::uint64_t a, std::uint64_t b) {
-  return PrimeField::fold61(static_cast<unsigned __int128>(a) * b);
-}
-
-inline std::uint64_t add_mod(std::uint64_t a, std::uint64_t b,
-                             std::uint64_t p) {
-  std::uint64_t s = a + b;
-  if (s < a || s >= p) s -= p;
-  return s;
-}
-
-inline std::uint64_t sub_mod(std::uint64_t a, std::uint64_t b,
-                             std::uint64_t p) {
-  return a >= b ? a - b : a + (p - b);
-}
-
-}  // namespace
-
-PrimeField::PrimeField(std::uint64_t p, SimdMode simd)
-    : p_(p),
-      mersenne61_(p == kDefaultPrime),
-      // The one dispatch decision (see the design note in fp.h): vector
-      // kernels serve only the Mersenne-61 path, only when compiled in and
-      // supported by this CPU, and only when the caller didn't pin kOff.
-      simd_(p == kDefaultPrime && simd == SimdMode::kAuto &&
-            m61simd::available()) {
-  SSBFT_REQUIRE_MSG(p >= 2 && is_prime_u64(p), "field modulus must be prime, got " << p);
-}
-
 std::uint64_t PrimeField::pow(std::uint64_t a, std::uint64_t e) const {
-  SSBFT_CHECK(a < p_);
-  std::uint64_t base = a, acc = 1 % p_;
+  SSBFT_CHECK(a < kPrime);
+  std::uint64_t base = a, acc = 1;
   while (e != 0) {
     if (e & 1) acc = mul(acc, base);
     base = mul(base, base);
@@ -54,149 +16,78 @@ std::uint64_t PrimeField::pow(std::uint64_t a, std::uint64_t e) const {
 }
 
 std::uint64_t PrimeField::inv(std::uint64_t a) const {
-  SSBFT_REQUIRE_MSG(a != 0 && a < p_, "inverse of zero / non-canonical value");
+  SSBFT_REQUIRE_MSG(a != 0 && a < kPrime,
+                    "inverse of zero / non-canonical value");
   // Extended Euclid: ~60 division steps beat the ~61 modmuls of Fermat by a
-  // wide margin (each step is one 64-bit divide vs a 128-bit modmul), and
-  // it is total on nonzero a because p is prime. Bezout coefficients can
-  // exceed int64 range only for p >= 2^63, so track them in 128 bits.
-  std::uint64_t r0 = p_, r1 = a;
-  __int128 t0 = 0, t1 = 1;
+  // wide margin, and it is total on nonzero a because p is prime. Bezout
+  // coefficients stay within (-p, p), so int64 holds them.
+  std::uint64_t r0 = kPrime, r1 = a;
+  std::int64_t t0 = 0, t1 = 1;
   while (r1 != 0) {
     const std::uint64_t q = r0 / r1;
     const std::uint64_t r2 = r0 - q * r1;
-    const __int128 t2 = t0 - static_cast<__int128>(q) * t1;
+    const std::int64_t t2 = t0 - static_cast<std::int64_t>(q) * t1;
     r0 = r1;
     r1 = r2;
     t0 = t1;
     t1 = t2;
   }
   SSBFT_CHECK(r0 == 1);  // gcd(a, p) = 1 since p is prime and 0 < a < p
-  if (t0 < 0) t0 += static_cast<__int128>(p_);
+  if (t0 < 0) t0 += static_cast<std::int64_t>(kPrime);
   return static_cast<std::uint64_t>(t0);
 }
 
 void PrimeField::mul_vec(const std::uint64_t* a, const std::uint64_t* b,
                          std::uint64_t* out, std::size_t len) const {
-  if (simd_) {
-    m61simd::mul_vec(a, b, out, len);
-  } else if (mersenne61_) {
-    for (std::size_t i = 0; i < len; ++i) out[i] = mul_m61(a[i], b[i]);
-  } else {
-    for (std::size_t i = 0; i < len; ++i) out[i] = mul_mod(a[i], b[i], p_);
-  }
+  m61simd::mul_vec(a, b, out, len);
 }
 
 void PrimeField::scale_vec(const std::uint64_t* a, std::uint64_t c,
                            std::uint64_t* out, std::size_t len) const {
-  SSBFT_CHECK(c < p_);
-  if (simd_) {
-    m61simd::scale_vec(a, c, out, len);
-  } else if (mersenne61_) {
-    for (std::size_t i = 0; i < len; ++i) out[i] = mul_m61(a[i], c);
-  } else {
-    for (std::size_t i = 0; i < len; ++i) out[i] = mul_mod(a[i], c, p_);
-  }
+  SSBFT_CHECK(c < kPrime);
+  m61simd::scale_vec(a, c, out, len);
 }
 
 void PrimeField::submul_vec(std::uint64_t* dst, const std::uint64_t* src,
                             std::uint64_t c, std::size_t len) const {
-  SSBFT_CHECK(c < p_);
-  if (simd_) {
-    m61simd::submul_vec(dst, src, c, len);
-  } else if (mersenne61_) {
-    for (std::size_t i = 0; i < len; ++i) {
-      dst[i] = sub_mod(dst[i], mul_m61(src[i], c), kDefaultPrime);
-    }
-  } else {
-    for (std::size_t i = 0; i < len; ++i) {
-      dst[i] = sub_mod(dst[i], mul_mod(src[i], c, p_), p_);
-    }
-  }
+  SSBFT_CHECK(c < kPrime);
+  m61simd::submul_vec(dst, src, c, len);
 }
 
 void PrimeField::addmul_vec(std::uint64_t* dst, const std::uint64_t* src,
                             std::uint64_t c, std::size_t len) const {
-  SSBFT_CHECK(c < p_);
-  if (simd_) {
-    m61simd::addmul_vec(dst, src, c, len);
-  } else if (mersenne61_) {
-    for (std::size_t i = 0; i < len; ++i) {
-      dst[i] = add_mod(dst[i], mul_m61(src[i], c), kDefaultPrime);
-    }
-  } else {
-    for (std::size_t i = 0; i < len; ++i) {
-      dst[i] = add_mod(dst[i], mul_mod(src[i], c, p_), p_);
-    }
-  }
+  SSBFT_CHECK(c < kPrime);
+  m61simd::addmul_vec(dst, src, c, len);
 }
 
 std::uint64_t PrimeField::dot(const std::uint64_t* a, const std::uint64_t* b,
                               std::size_t len) const {
-  if (simd_) return m61simd::dot(a, b, len);
-  std::uint64_t acc = 0;
-  if (mersenne61_) {
-    for (std::size_t i = 0; i < len; ++i) {
-      acc = add_mod(acc, mul_m61(a[i], b[i]), kDefaultPrime);
-    }
-  } else {
-    for (std::size_t i = 0; i < len; ++i) {
-      acc = add_mod(acc, mul_mod(a[i], b[i], p_), p_);
-    }
-  }
-  return acc;
+  return m61simd::dot(a, b, len);
 }
 
 std::uint64_t PrimeField::horner(const std::uint64_t* coeffs,
                                  std::size_t count, std::uint64_t x) const {
-  SSBFT_CHECK(x < p_);
-  std::uint64_t acc = 0;
-  if (mersenne61_) {
-    for (std::size_t i = count; i-- > 0;) {
-      acc = add_mod(mul_m61(acc, x), coeffs[i], kDefaultPrime);
-    }
-  } else {
-    for (std::size_t i = count; i-- > 0;) {
-      acc = add_mod(mul_mod(acc, x, p_), coeffs[i], p_);
-    }
-  }
-  return acc;
+  SSBFT_CHECK(x < kPrime);
+  std::uint64_t out = 0;
+  m61simd::eval_many_scalar(coeffs, count, &x, 1, &out);
+  return out;
 }
 
 void PrimeField::eval_many(const std::uint64_t* coeffs, std::size_t count,
                            const std::uint64_t* xs, std::size_t m,
                            std::uint64_t* out) const {
-  if (simd_) {
-    m61simd::eval_many(coeffs, count, xs, m, out);
-  } else if (mersenne61_) {
-    for (std::size_t k = 0; k < m; ++k) {
-      const std::uint64_t x = xs[k];
-      std::uint64_t acc = 0;
-      for (std::size_t i = count; i-- > 0;) {
-        acc = add_mod(mul_m61(acc, x), coeffs[i], kDefaultPrime);
-      }
-      out[k] = acc;
-    }
-  } else {
-    for (std::size_t k = 0; k < m; ++k) {
-      const std::uint64_t x = xs[k];
-      std::uint64_t acc = 0;
-      for (std::size_t i = count; i-- > 0;) {
-        acc = add_mod(mul_mod(acc, x, p_), coeffs[i], p_);
-      }
-      out[k] = acc;
-    }
-  }
+  m61simd::eval_many(coeffs, count, xs, m, out);
 }
 
 void PrimeField::batch_inv(std::uint64_t* vals, std::size_t len,
                            std::uint64_t* scratch) const {
   if (len == 0) return;
   // The serial prefix-product chain is latency-bound; at vector-worthy
-  // lengths the Mersenne path runs it as four independent lanes. Outputs
-  // are the exact inverses either way (inverses are unique), so the two
-  // shapes are bit-identical.
-  if (simd_ && len >= 32) {
-    batch_inv_m61_lanes(vals, len, scratch);
+  // lengths it runs as four independent lanes. Outputs are the exact
+  // inverses either way (inverses are unique), so the two shapes are
+  // bit-identical.
+  if (len >= 32 && m61simd::available()) {
+    batch_inv_lanes(vals, len, scratch);
     return;
   }
   // Prefix products, one inversion of the total, then unwind: each step
@@ -214,8 +105,8 @@ void PrimeField::batch_inv(std::uint64_t* vals, std::size_t len,
   vals[0] = run;
 }
 
-void PrimeField::batch_inv_m61_lanes(std::uint64_t* vals, std::size_t len,
-                                     std::uint64_t* scratch) const {
+void PrimeField::batch_inv_lanes(std::uint64_t* vals, std::size_t len,
+                                 std::uint64_t* scratch) const {
   // Four contiguous chunks of K elements run their prefix products in
   // lanes; the tail (len % 4 elements) chains on scalar, seeded with the
   // product of all chunk totals so one inv() still covers everything.
@@ -248,10 +139,14 @@ void PrimeField::batch_inv_m61_lanes(std::uint64_t* vals, std::size_t len,
   m61simd::chunk_unwind(vals, scratch, inv_totals, K);
 }
 
-std::uint64_t PrimeField::uniform(Rng& rng) const { return rng.next_below(p_); }
+std::uint64_t PrimeField::uniform(Rng& rng) const {
+  return rng.next_below(kPrime);
+}
 
 std::uint64_t PrimeField::uniform_nonzero(Rng& rng) const {
-  return 1 + rng.next_below(p_ - 1);
+  return 1 + rng.next_below(kPrime - 1);
 }
+
+bool PrimeField::simd_active() const { return m61simd::available(); }
 
 }  // namespace ssbft

@@ -1,41 +1,28 @@
-// Arithmetic in the prime field Z_p with a runtime modulus.
+// Arithmetic in the prime field Z_p, p = 2^61 - 1.
 //
-// The Feldman-Micali-style coin (Remark 2.3) needs a prime p > n; we default
-// to the Mersenne prime 2^61 - 1 so secrets have ~61 bits of entropy and the
-// parity of a uniform element is a (1/2 ± 2^-61) coin. Values are plain
-// uint64_t in [0, p); the field object carries the modulus. This keeps
+// The Feldman-Micali-style coin (Remark 2.3) needs a prime p > n; the code
+// fixes the Mersenne prime 2^61 - 1 as a compile-time constant, so secrets
+// have ~61 bits of entropy and the parity of a uniform element is a
+// (1/2 ± 2^-61) coin. Values are plain uint64_t in [0, p). This keeps
 // element storage flat (vectors of uint64_t) which matters for the O(n^2)
-// share matrices the VSS moves around.
-//
-// Two arithmetic backends sit behind one API, selected once at construction:
-//
-//   * Mersenne-61 fast path (the default prime): a 128-bit product reduces
-//     with two shift/add folds and one conditional subtract — no hardware
-//     division anywhere on the hot path.
-//   * Generic fallback for arbitrary runtime primes: the product reduces
-//     with `unsigned __int128 % p`. This is also the reference the fast
-//     path is property-tested against (tests/field_test.cpp).
-//
-// Both backends compute the same canonical representative for every input,
-// so switching between them is bit-exact.
+// share matrices the VSS moves around. A 128-bit product reduces with two
+// shift/add folds and one conditional subtract (fold61) — no hardware
+// division anywhere on the hot path.
 //
 // The scalar ops keep the contract checks from support/check.h; the batch
-// kernels (mul_vec, eval_many, batch_inv, ...) hoist validation and the
-// backend dispatch out of the element loop — callers must pass canonical
-// elements (the kernels' inputs always come from already-validated flat
-// storage in this codebase).
+// kernels (mul_vec, eval_many, batch_inv, ...) hoist validation out of the
+// element loop — callers must pass canonical elements (the kernels' inputs
+// always come from already-validated flat storage in this codebase).
 //
-// SIMD dispatch design (field/fp_simd.h): on the Mersenne-61 fast path the
-// batch kernels can additionally route to a runtime-selected vector
-// backend (AVX2 today; the m61simd seam admits a NEON backend the same
-// way). The decision is made ONCE, at PrimeField construction — the ctor
-// probes m61simd::available() (a cached CPUID check) and latches `simd_`;
-// the kernels branch on that bool per call, never per element. The scalar
-// loops remain the bit-exact reference: every backend produces the unique
-// canonical representative of the same field result, so replays, wire
-// bytes and trace commitments are identical on every path. Building with
-// -DSSBFT_SIMD=off compiles the vector backend out entirely, and tests can
-// force the reference path per instance via SimdMode::kOff.
+// SIMD dispatch design (field/fp_simd.h): the batch kernels forward to
+// m61simd, which routes each call to a vector backend (AVX2 today; the
+// seam admits a NEON backend the same way) when one is compiled in and
+// the CPU supports it, and to its scalar kernels otherwise. The CPU probe
+// runs once and is cached; there is no per-element dispatch. Every backend
+// produces the unique canonical representative of the same field result,
+// so replays, wire bytes and trace commitments are identical on every
+// path. Building with -DSSBFT_SIMD=off compiles the vector backend out;
+// tests compare both backends against an independent `%`-based oracle.
 #pragma once
 
 #include <cstdint>
@@ -46,64 +33,39 @@
 
 namespace ssbft {
 
-// Backend selection for the Mersenne-61 batch kernels. kAuto picks the
-// vector backend iff one is compiled in and the CPU supports it; kOff
-// pins the scalar reference path (the property tests compare the two).
-enum class SimdMode { kAuto, kOff };
-
 class PrimeField {
  public:
-  // Largest prime we use by default: 2^61 - 1.
-  static constexpr std::uint64_t kDefaultPrime = 2305843009213693951ULL;
-
-  // p must be prime (checked with Miller-Rabin) and >= 2.
-  explicit PrimeField(std::uint64_t p = kDefaultPrime,
-                      SimdMode simd = SimdMode::kAuto);
-
-  std::uint64_t modulus() const { return p_; }
+  // The field modulus: 2^61 - 1.
+  static constexpr std::uint64_t kPrime = (std::uint64_t{1} << 61) - 1;
 
   // True iff v is a canonical representative (< p).
-  bool valid(std::uint64_t v) const { return v < p_; }
-
-  // Bits needed for a canonical representative: bit width of p - 1 (never
-  // 0; p >= 2). The compact wire codec packs field elements at this width.
-  unsigned value_bits() const {
-    unsigned bits = 0;
-    for (std::uint64_t m = p_ - 1; m != 0; m >>= 1) ++bits;
-    return bits == 0 ? 1 : bits;
-  }
+  bool valid(std::uint64_t v) const { return v < kPrime; }
 
   // Canonicalize an arbitrary 64-bit value (used on untrusted input).
   std::uint64_t reduce(std::uint64_t v) const {
-    if (mersenne61_) {
-      const std::uint64_t s = (v & kDefaultPrime) + (v >> 61);
-      return s >= kDefaultPrime ? s - kDefaultPrime : s;
-    }
-    return v % p_;
+    const std::uint64_t s = (v & kPrime) + (v >> 61);
+    return s >= kPrime ? s - kPrime : s;
   }
 
   std::uint64_t add(std::uint64_t a, std::uint64_t b) const {
-    SSBFT_CHECK(a < p_ && b < p_);
-    std::uint64_t s = a + b;  // p may exceed 2^63: detect wraparound too
-    if (s < a || s >= p_) s -= p_;
-    return s;
+    SSBFT_CHECK(a < kPrime && b < kPrime);
+    const std::uint64_t s = a + b;  // < 2^62: no wraparound
+    return s >= kPrime ? s - kPrime : s;
   }
 
   std::uint64_t sub(std::uint64_t a, std::uint64_t b) const {
-    SSBFT_CHECK(a < p_ && b < p_);
-    return a >= b ? a - b : a + (p_ - b);
+    SSBFT_CHECK(a < kPrime && b < kPrime);
+    return a >= b ? a - b : a + (kPrime - b);
   }
 
   std::uint64_t neg(std::uint64_t a) const {
-    SSBFT_CHECK(a < p_);
-    return a == 0 ? 0 : p_ - a;
+    SSBFT_CHECK(a < kPrime);
+    return a == 0 ? 0 : kPrime - a;
   }
 
   std::uint64_t mul(std::uint64_t a, std::uint64_t b) const {
-    SSBFT_CHECK(a < p_ && b < p_);
-    const unsigned __int128 t = static_cast<unsigned __int128>(a) * b;
-    if (mersenne61_) return fold61(t);
-    return static_cast<std::uint64_t>(t % p_);
+    SSBFT_CHECK(a < kPrime && b < kPrime);
+    return fold61(static_cast<unsigned __int128>(a) * b);
   }
 
   std::uint64_t pow(std::uint64_t a, std::uint64_t e) const;
@@ -114,7 +76,7 @@ class PrimeField {
   // --- batch kernels ------------------------------------------------------
   //
   // All array arguments must hold canonical elements; `out` may alias an
-  // input only where noted. The backend dispatch happens once per call.
+  // input only where noted.
 
   // out[i] = a[i] * b[i]. out may alias a or b.
   void mul_vec(const std::uint64_t* a, const std::uint64_t* b,
@@ -162,32 +124,26 @@ class PrimeField {
   // Uniformly random nonzero element.
   std::uint64_t uniform_nonzero(Rng& rng) const;
 
-  // True iff the batch kernels route to a vector backend (decided once at
-  // construction; identical results either way).
-  bool simd_active() const { return simd_; }
-
-  bool operator==(const PrimeField& o) const { return p_ == o.p_; }
+  // True iff the batch kernels route to a vector backend (m61simd's cached
+  // CPU probe; identical results either way).
+  bool simd_active() const;
 
   // Reduces t < 2^122 modulo 2^61 - 1: two shift/add folds bring the value
   // under 2^61 + 1, then one conditional subtract canonicalizes. The one
   // definition of the Mersenne fold — the batch kernels call it too, so
   // scalar and vector paths cannot drift apart.
   static std::uint64_t fold61(unsigned __int128 t) {
-    std::uint64_t s = (static_cast<std::uint64_t>(t) & kDefaultPrime) +
+    std::uint64_t s = (static_cast<std::uint64_t>(t) & kPrime) +
                       static_cast<std::uint64_t>(t >> 61);  // < 2^62
-    s = (s & kDefaultPrime) + (s >> 61);                    // <= 2^61
-    return s >= kDefaultPrime ? s - kDefaultPrime : s;
+    s = (s & kPrime) + (s >> 61);                           // <= 2^61
+    return s >= kPrime ? s - kPrime : s;
   }
 
  private:
   // Four-lane Montgomery batch inversion: the prefix/unwind passes run on
   // the vector backend over four chunks, joined by one scalar inv().
-  void batch_inv_m61_lanes(std::uint64_t* vals, std::size_t len,
-                           std::uint64_t* scratch) const;
-
-  std::uint64_t p_;
-  bool mersenne61_;
-  bool simd_;
+  void batch_inv_lanes(std::uint64_t* vals, std::size_t len,
+                       std::uint64_t* scratch) const;
 };
 
 }  // namespace ssbft

@@ -18,7 +18,7 @@ namespace m61simd {
 
 namespace {
 
-constexpr std::uint64_t kM61 = PrimeField::kDefaultPrime;
+constexpr std::uint64_t kM61 = PrimeField::kPrime;
 
 inline std::uint64_t mul_m61(std::uint64_t a, std::uint64_t b) {
   return PrimeField::fold61(static_cast<unsigned __int128>(a) * b);
@@ -31,78 +31,6 @@ inline std::uint64_t add_m61(std::uint64_t a, std::uint64_t b) {
 
 inline std::uint64_t sub_m61(std::uint64_t a, std::uint64_t b) {
   return a >= b ? a - b : a + (kM61 - b);
-}
-
-// ---- scalar fallbacks (also the non-AVX2 total definitions) -------------
-
-void mul_vec_scalar(const std::uint64_t* a, const std::uint64_t* b,
-                    std::uint64_t* out, std::size_t len) {
-  for (std::size_t i = 0; i < len; ++i) out[i] = mul_m61(a[i], b[i]);
-}
-
-void scale_vec_scalar(const std::uint64_t* a, std::uint64_t c,
-                      std::uint64_t* out, std::size_t len) {
-  for (std::size_t i = 0; i < len; ++i) out[i] = mul_m61(a[i], c);
-}
-
-void submul_vec_scalar(std::uint64_t* dst, const std::uint64_t* src,
-                       std::uint64_t c, std::size_t len) {
-  for (std::size_t i = 0; i < len; ++i) {
-    dst[i] = sub_m61(dst[i], mul_m61(src[i], c));
-  }
-}
-
-void addmul_vec_scalar(std::uint64_t* dst, const std::uint64_t* src,
-                       std::uint64_t c, std::size_t len) {
-  for (std::size_t i = 0; i < len; ++i) {
-    dst[i] = add_m61(dst[i], mul_m61(src[i], c));
-  }
-}
-
-std::uint64_t dot_scalar(const std::uint64_t* a, const std::uint64_t* b,
-                         std::size_t len) {
-  std::uint64_t acc = 0;
-  for (std::size_t i = 0; i < len; ++i) acc = add_m61(acc, mul_m61(a[i], b[i]));
-  return acc;
-}
-
-void eval_many_scalar(const std::uint64_t* coeffs, std::size_t count,
-                      const std::uint64_t* xs, std::size_t m,
-                      std::uint64_t* out) {
-  for (std::size_t k = 0; k < m; ++k) {
-    const std::uint64_t x = xs[k];
-    std::uint64_t acc = 0;
-    for (std::size_t i = count; i-- > 0;) {
-      acc = add_m61(mul_m61(acc, x), coeffs[i]);
-    }
-    out[k] = acc;
-  }
-}
-
-void chunk_prefix_scalar(const std::uint64_t* vals, std::uint64_t* scratch,
-                         std::size_t K) {
-  for (std::size_t c = 0; c < 4; ++c) {
-    const std::uint64_t* v = vals + c * K;
-    std::uint64_t* s = scratch + c * K;
-    std::uint64_t run = v[0];
-    s[0] = run;
-    for (std::size_t i = 1; i < K; ++i) s[i] = run = mul_m61(run, v[i]);
-  }
-}
-
-void chunk_unwind_scalar(std::uint64_t* vals, const std::uint64_t* scratch,
-                         const std::uint64_t inv_totals[4], std::size_t K) {
-  for (std::size_t c = 0; c < 4; ++c) {
-    std::uint64_t* v = vals + c * K;
-    const std::uint64_t* s = scratch + c * K;
-    std::uint64_t run = inv_totals[c];
-    for (std::size_t i = K; i-- > 1;) {
-      const std::uint64_t x = v[i];
-      v[i] = mul_m61(run, s[i - 1]);
-      run = mul_m61(run, x);
-    }
-    v[0] = run;
-  }
 }
 
 #if SSBFT_HAVE_AVX2_KERNELS
@@ -268,14 +196,7 @@ __attribute__((target("avx2"))) void eval_many_avx2(
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + k), acc0);
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + k + 4), acc1);
   }
-  for (; k < m; ++k) {
-    const std::uint64_t x = xs[k];
-    std::uint64_t acc = 0;
-    for (std::size_t i = count; i-- > 0;) {
-      acc = add_m61(mul_m61(acc, x), coeffs[i]);
-    }
-    out[k] = acc;
-  }
+  eval_many_scalar(coeffs, count, xs + k, m - k, out + k);
 }
 
 __attribute__((target("avx2"))) inline __m256i gather4(
@@ -322,6 +243,78 @@ __attribute__((target("avx2"))) void chunk_unwind_avx2(
 #endif  // SSBFT_HAVE_AVX2_KERNELS
 
 }  // namespace
+
+// ---- scalar kernels (the reference; also the non-AVX2 definitions) ------
+
+void mul_vec_scalar(const std::uint64_t* a, const std::uint64_t* b,
+                    std::uint64_t* out, std::size_t len) {
+  for (std::size_t i = 0; i < len; ++i) out[i] = mul_m61(a[i], b[i]);
+}
+
+void scale_vec_scalar(const std::uint64_t* a, std::uint64_t c,
+                      std::uint64_t* out, std::size_t len) {
+  for (std::size_t i = 0; i < len; ++i) out[i] = mul_m61(a[i], c);
+}
+
+void submul_vec_scalar(std::uint64_t* dst, const std::uint64_t* src,
+                       std::uint64_t c, std::size_t len) {
+  for (std::size_t i = 0; i < len; ++i) {
+    dst[i] = sub_m61(dst[i], mul_m61(src[i], c));
+  }
+}
+
+void addmul_vec_scalar(std::uint64_t* dst, const std::uint64_t* src,
+                       std::uint64_t c, std::size_t len) {
+  for (std::size_t i = 0; i < len; ++i) {
+    dst[i] = add_m61(dst[i], mul_m61(src[i], c));
+  }
+}
+
+std::uint64_t dot_scalar(const std::uint64_t* a, const std::uint64_t* b,
+                         std::size_t len) {
+  std::uint64_t acc = 0;
+  for (std::size_t i = 0; i < len; ++i) acc = add_m61(acc, mul_m61(a[i], b[i]));
+  return acc;
+}
+
+void eval_many_scalar(const std::uint64_t* coeffs, std::size_t count,
+                      const std::uint64_t* xs, std::size_t m,
+                      std::uint64_t* out) {
+  for (std::size_t k = 0; k < m; ++k) {
+    const std::uint64_t x = xs[k];
+    std::uint64_t acc = 0;
+    for (std::size_t i = count; i-- > 0;) {
+      acc = add_m61(mul_m61(acc, x), coeffs[i]);
+    }
+    out[k] = acc;
+  }
+}
+
+void chunk_prefix_scalar(const std::uint64_t* vals, std::uint64_t* scratch,
+                         std::size_t K) {
+  for (std::size_t c = 0; c < 4; ++c) {
+    const std::uint64_t* v = vals + c * K;
+    std::uint64_t* s = scratch + c * K;
+    std::uint64_t run = v[0];
+    s[0] = run;
+    for (std::size_t i = 1; i < K; ++i) s[i] = run = mul_m61(run, v[i]);
+  }
+}
+
+void chunk_unwind_scalar(std::uint64_t* vals, const std::uint64_t* scratch,
+                         const std::uint64_t inv_totals[4], std::size_t K) {
+  for (std::size_t c = 0; c < 4; ++c) {
+    std::uint64_t* v = vals + c * K;
+    const std::uint64_t* s = scratch + c * K;
+    std::uint64_t run = inv_totals[c];
+    for (std::size_t i = K; i-- > 1;) {
+      const std::uint64_t x = v[i];
+      v[i] = mul_m61(run, s[i - 1]);
+      run = mul_m61(run, x);
+    }
+    v[0] = run;
+  }
+}
 
 bool available() {
 #if SSBFT_HAVE_AVX2_KERNELS

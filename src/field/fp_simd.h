@@ -1,20 +1,20 @@
-// Vector backends for the Mersenne-61 batch kernels.
+// Batch kernels for Z_(2^61-1), with a runtime-selected vector backend.
 //
-// Everything here operates on canonical elements of Z_(2^61-1) (the
-// PrimeField::kDefaultPrime fast path only — the generic-modulus path has
-// no vector backend). The functions are total on every build: when no
-// vector unit is compiled in or the CPU lacks it, they fall through to
-// straight-line scalar code that shares PrimeField::fold61, so tests can
-// call them unconditionally and compare against the scalar reference.
+// Everything here operates on canonical elements of Z_(2^61-1), the one
+// field of the codebase (field/fp.h); PrimeField's batch kernels forward
+// here. Each dispatched kernel runs the AVX2 variant when it is compiled
+// in and the CPU supports it, and the matching `*_scalar` kernel
+// otherwise. The scalar kernels share PrimeField::fold61 and are exposed
+// as the reference the tests cross-check the dispatched kernels against.
 //
 // Dispatch contract (see the design note in field/fp.h): `available()`
-// probes the CPU once (cached static) and PrimeField consults it a single
-// time at construction. The per-call branch inside each kernel reads the
-// same cached flag — there is no per-element dispatch anywhere.
+// probes the CPU once (cached static); each kernel branches on that flag
+// once per call — there is no per-element dispatch anywhere. The masked
+// wire codec's block packer (support/bitpack61.h) reads the same probe.
 //
 // Bit-exactness: every kernel returns the canonical representative of the
 // exact field result, which is unique, so vector and scalar paths cannot
-// diverge (tests/field_test.cpp pins this over adversarial inputs).
+// diverge (tests/field_test.cpp pins both against an independent oracle).
 #pragma once
 
 #include <cstddef>
@@ -69,6 +69,25 @@ void chunk_prefix(const std::uint64_t* vals, std::uint64_t* scratch,
 //   replaces vals[c*K+i] with vals[c*K+i]^-1 using the prefixes above.
 void chunk_unwind(std::uint64_t* vals, const std::uint64_t* scratch,
                   const std::uint64_t inv_totals[4], std::size_t K);
+
+// Scalar reference variants of the kernels above (same contracts).
+void mul_vec_scalar(const std::uint64_t* a, const std::uint64_t* b,
+                    std::uint64_t* out, std::size_t len);
+void scale_vec_scalar(const std::uint64_t* a, std::uint64_t c,
+                      std::uint64_t* out, std::size_t len);
+void submul_vec_scalar(std::uint64_t* dst, const std::uint64_t* src,
+                       std::uint64_t c, std::size_t len);
+void addmul_vec_scalar(std::uint64_t* dst, const std::uint64_t* src,
+                       std::uint64_t c, std::size_t len);
+std::uint64_t dot_scalar(const std::uint64_t* a, const std::uint64_t* b,
+                         std::size_t len);
+void eval_many_scalar(const std::uint64_t* coeffs, std::size_t count,
+                      const std::uint64_t* xs, std::size_t m,
+                      std::uint64_t* out);
+void chunk_prefix_scalar(const std::uint64_t* vals, std::uint64_t* scratch,
+                         std::size_t K);
+void chunk_unwind_scalar(std::uint64_t* vals, const std::uint64_t* scratch,
+                         const std::uint64_t inv_totals[4], std::size_t K);
 
 }  // namespace m61simd
 }  // namespace ssbft

@@ -16,10 +16,6 @@
 
 namespace ssbft {
 
-namespace {
-
-// Strict digits-only uint64 (no sign, no whitespace, overflow-checked):
-// the loose strtoull contract would let " -3" wrap to ~2^64.
 bool parse_u64_strict(const std::string& s, std::uint64_t* out) {
   if (s.empty()) return false;
   std::uint64_t v = 0;
@@ -32,6 +28,8 @@ bool parse_u64_strict(const std::string& s, std::uint64_t* out) {
   *out = v;
   return true;
 }
+
+namespace {
 
 bool is_hex_lower(const std::string& s, std::size_t len) {
   if (s.size() != len) return false;

@@ -79,6 +79,12 @@ struct ShardSpec {
   }
 };
 
+// Strict digits-only uint64 (no sign, no whitespace, overflow-checked):
+// the loose strtoull contract would let " -3" wrap to ~2^64 and "8k" or
+// "abc" pass as 8 or 0. Shared by every decoder and command-line flag that
+// takes a count.
+bool parse_u64_strict(const std::string& s, std::uint64_t* out);
+
 // "i/k" -> spec (k >= 1, i < k); nullopt on anything else.
 std::optional<ShardSpec> parse_shard_spec(const std::string& s);
 

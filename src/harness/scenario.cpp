@@ -67,7 +67,7 @@ std::unique_ptr<Adversary> make_attack(Attack a, ClockValue k,
     case Attack::kSkew:
       return make_clock_skew_adversary(k, 0);
     case Attack::kCoinAttack:
-      return make_fm_coin_attacker(PrimeField::kDefaultPrime, coin_base);
+      return make_fm_coin_attacker(coin_base);
     case Attack::kAdaptive:
       return make_adaptive_quorum_splitter(k, 0);
     case Attack::kAntiCoin:

@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "field/fp_simd.h"
+
 #if defined(__GNUC__) && defined(__x86_64__) && !defined(SSBFT_SIMD_DISABLED)
 #define SSBFT_BITPACK_HAVE_AVX2 1
 #include <immintrin.h>
@@ -81,11 +83,6 @@ __attribute__((target("avx2"))) void unpack_block_avx2(const std::uint8_t* in,
   v[7] = (w53 >> 3) & kMask61;
 }
 
-bool avx2_ok() {
-  static const bool ok = __builtin_cpu_supports("avx2") != 0;
-  return ok;
-}
-
 #endif  // SSBFT_BITPACK_HAVE_AVX2
 
 }  // namespace
@@ -125,17 +122,9 @@ void unpack_block_portable(const std::uint8_t* in, std::uint64_t* v) {
   v[7] = (w53 >> 3) & kMask61;
 }
 
-bool simd_available() {
-#if SSBFT_BITPACK_HAVE_AVX2
-  return avx2_ok();
-#else
-  return false;
-#endif
-}
-
 void pack_block(const std::uint64_t* v, std::uint8_t* out) {
 #if SSBFT_BITPACK_HAVE_AVX2
-  if (avx2_ok()) {
+  if (m61simd::available()) {
     pack_block_avx2(v, out);
     return;
   }
@@ -145,7 +134,7 @@ void pack_block(const std::uint64_t* v, std::uint8_t* out) {
 
 void unpack_block(const std::uint8_t* in, std::uint64_t* v) {
 #if SSBFT_BITPACK_HAVE_AVX2
-  if (avx2_ok()) {
+  if (m61simd::available()) {
     unpack_block_avx2(in, v);
     return;
   }

@@ -4,15 +4,14 @@
 // field elements at 61 bits each. Eight such values occupy exactly
 // 61 bytes (8 * 61 = 488 bits), so the stream stays byte-aligned at every
 // 8-value boundary and full blocks can be assembled with straight 64-bit
-// word shifts — no 128-bit accumulator window. The kernels here produce /
-// consume exactly the same bit layout as the scalar window in bytes.cpp
-// (LSB-first, value k at bit offset 61*k), so the wire bytes are identical
-// byte for byte; support_test pins this.
+// word shifts. The layout is LSB-first, value k at bit offset 61*k; the
+// codec packs every full block here and its sub-block tail as one
+// zero-padded block, so these kernels define every packed wire byte
+// (support_test pins them against a bit-by-bit reference).
 //
-// Dispatch mirrors the field kernels (see field/fp.h): an AVX2 variant is
-// selected once via a cached CPUID probe, the portable variant is the
-// always-available fallback, and -DSSBFT_SIMD=off removes the block path
-// from the codec entirely (bytes.cpp then runs the reference window).
+// Dispatch mirrors the field kernels (see field/fp.h): the AVX2 variant
+// runs when m61simd::available() (the one cached CPU probe) says so, and
+// the portable variant otherwise — including every -DSSBFT_SIMD=off build.
 #pragma once
 
 #include <cstddef>
@@ -24,10 +23,6 @@ namespace bitpack61 {
 constexpr unsigned kValueBits = 61;
 constexpr std::size_t kBlockValues = 8;
 constexpr std::size_t kBlockBytes = 61;  // 8 * 61 bits, byte-aligned
-
-// True iff the AVX2 variant is compiled in and this CPU supports it
-// (cached; the portable variant is used otherwise).
-bool simd_available();
 
 // Packs v[0..8) (each < 2^61) into exactly 61 bytes at out, LSB-first.
 void pack_block(const std::uint64_t* v, std::uint8_t* out);

@@ -37,91 +37,39 @@ void ByteWriter::bytes(const Bytes& v) {
 }
 
 void ByteWriter::masked_u64_vec(const std::uint64_t* data, std::size_t len,
-                                std::uint64_t absent, unsigned value_bits) {
-  SSBFT_REQUIRE_MSG(value_bits >= 1 && value_bits <= 64,
-                    "masked_u64_vec: value_bits out of range");
-  const std::uint64_t max_value =
-      value_bits == 64 ? ~std::uint64_t{0}
-                       : (std::uint64_t{1} << value_bits) - 1;
+                                std::uint64_t absent) {
+  constexpr std::size_t kBlock = bitpack61::kBlockValues;
   const std::size_t mask_bytes = (len + 7) / 8;
   std::size_t present = 0;
   for (std::size_t i = 0; i < len; ++i) present += data[i] != absent;
-  const std::size_t packed_bytes = (present * value_bits + 7) / 8;
+  const std::size_t packed_bytes = (present * bitpack61::kValueBits + 7) / 8;
   // One zero-filling resize sizes mask and packed region exactly; the
-  // write below fills in mask bits and whole packed bytes (padding bits in
-  // the last byte stay zero, as the decoder requires).
+  // loop below sets mask bits and writes whole blocks.
   const std::size_t start = buf_.size();
   buf_.resize(start + mask_bytes + packed_bytes, 0);
   std::uint8_t* const mask = buf_.data() + start;
   std::uint8_t* out = mask + mask_bytes;
-#if !defined(SSBFT_SIMD_DISABLED)
-  // Bulk path for the default field width: 8 present values pack to
-  // exactly 61 byte-aligned bytes, so full blocks bypass the bit window
-  // entirely (bitpack61 emits the identical LSB-first layout) and only the
-  // sub-block tail streams through it. -DSSBFT_SIMD=off keeps the window
-  // below as the reference for the whole vector.
-  if (value_bits == bitpack61::kValueBits &&
-      present >= bitpack61::kBlockValues) {
-    std::uint64_t stage[bitpack61::kBlockValues];
-    std::size_t staged = 0;
-    for (std::size_t i = 0; i < len; ++i) {
-      if (data[i] == absent) continue;
-      SSBFT_REQUIRE_MSG(data[i] <= max_value,
-                        "masked_u64_vec: value wider than value_bits");
-      mask[i >> 3] |= static_cast<std::uint8_t>(1u << (i & 7));
-      stage[staged++] = data[i];
-      if (staged == bitpack61::kBlockValues) {
-        bitpack61::pack_block(stage, out);
-        out += bitpack61::kBlockBytes;
-        staged = 0;
-      }
-    }
-    unsigned __int128 tail_acc = 0;
-    unsigned tail_bits = 0;
-    for (std::size_t j = 0; j < staged; ++j) {
-      tail_acc |= static_cast<unsigned __int128>(stage[j]) << tail_bits;
-      tail_bits += value_bits;
-      if (tail_bits >= 64) {
-        const std::uint64_t w = static_cast<std::uint64_t>(tail_acc);
-        std::memcpy(out, &w, 8);
-        out += 8;
-        tail_acc >>= 64;
-        tail_bits -= 64;
-      }
-    }
-    while (tail_bits > 0) {
-      *out++ = static_cast<std::uint8_t>(tail_acc);
-      tail_acc >>= 8;
-      tail_bits = tail_bits >= 8 ? tail_bits - 8 : 0;
-    }
-    return;
-  }
-#endif
-  // Present values stream LSB-first through a 128-bit window, flushed in
-  // 8-byte stores; the flush invariant (flushed*8 + acc_bits = bits
-  // produced <= present*value_bits) keeps every store in bounds.
-  unsigned __int128 acc = 0;
-  unsigned acc_bits = 0;
+  std::uint64_t stage[kBlock];
+  std::size_t staged = 0;
   for (std::size_t i = 0; i < len; ++i) {
     if (data[i] == absent) continue;
-    SSBFT_REQUIRE_MSG(data[i] <= max_value,
-                      "masked_u64_vec: value wider than value_bits");
+    SSBFT_REQUIRE_MSG(data[i] >> bitpack61::kValueBits == 0,
+                      "masked_u64_vec: value wider than 61 bits");
     mask[i >> 3] |= static_cast<std::uint8_t>(1u << (i & 7));
-    acc |= static_cast<unsigned __int128>(data[i]) << acc_bits;
-    acc_bits += value_bits;
-    if (acc_bits >= 64) {
-      const std::uint64_t w = static_cast<std::uint64_t>(acc);
-      std::memcpy(out, &w, 8);
-      out += 8;
-      acc >>= 64;
-      acc_bits -= 64;
+    stage[staged++] = data[i];
+    if (staged == kBlock) {
+      bitpack61::pack_block(stage, out);
+      out += bitpack61::kBlockBytes;
+      staged = 0;
     }
   }
-  while (acc_bits > 0) {
-    *out++ = static_cast<std::uint8_t>(acc);
-    acc >>= 8;
-    acc_bits = acc_bits >= 8 ? acc_bits - 8 : 0;
-  }
+  if (staged == 0) return;
+  // Sub-block tail: zero values pack to zero bits, so a zero-padded block
+  // holds the tail's bits followed by the required zero padding.
+  for (std::size_t j = staged; j < kBlock; ++j) stage[j] = 0;
+  std::uint8_t block[bitpack61::kBlockBytes];
+  bitpack61::pack_block(stage, block);
+  std::memcpy(out, block, (staged * bitpack61::kValueBits + 7) / 8);
 }
 
 void ByteWriter::bits(const std::uint64_t* words, std::size_t nbits) {
@@ -192,12 +140,8 @@ std::size_t ByteReader::u64_vec_into(std::uint64_t* dst,
 }
 
 bool ByteReader::masked_u64_vec_into(std::uint64_t* dst, std::size_t len,
-                                     std::uint64_t absent,
-                                     unsigned value_bits) {
-  if (value_bits < 1 || value_bits > 64) {
-    ok_ = false;
-    return false;
-  }
+                                     std::uint64_t absent) {
+  constexpr std::size_t kBlock = bitpack61::kBlockValues;
   const std::size_t mask_bytes = (len + 7) / 8;
   const std::uint8_t* mask = nullptr;
   if (!take(mask_bytes, &mask)) return false;
@@ -213,7 +157,7 @@ bool ByteReader::masked_u64_vec_into(std::uint64_t* dst, std::size_t len,
     }
     for (; m != 0; m &= static_cast<std::uint8_t>(m - 1)) ++present;
   }
-  const std::size_t packed_bits = present * value_bits;
+  const std::size_t packed_bits = present * bitpack61::kValueBits;
   const std::size_t packed_bytes = (packed_bits + 7) / 8;
   const std::uint8_t* packed = nullptr;
   if (!take(packed_bytes, &packed)) return false;
@@ -224,86 +168,29 @@ bool ByteReader::masked_u64_vec_into(std::uint64_t* dst, std::size_t len,
     ok_ = false;
     return false;
   }
-  const std::uint64_t value_mask =
-      value_bits == 64 ? ~std::uint64_t{0}
-                       : (std::uint64_t{1} << value_bits) - 1;
-#if !defined(SSBFT_SIMD_DISABLED)
-  // Bulk path mirroring the writer: every full run of 8 present values is
-  // a byte-aligned 61-byte block (all failure checks above are shared, so
-  // the accept/reject behavior is identical to the window path below).
-  if (value_bits == bitpack61::kValueBits &&
-      present >= bitpack61::kBlockValues) {
-    std::uint64_t stage[bitpack61::kBlockValues];
-    std::size_t avail = 0, next = 0, rem = present, pos = 0;
-    for (std::size_t i = 0; i < len; ++i) {
-      if ((mask[i / 8] >> (i % 8) & 1u) == 0) {
-        dst[i] = absent;
-        continue;
-      }
-      if (next == avail) {
-        if (rem >= bitpack61::kBlockValues) {
-          bitpack61::unpack_block(packed + pos, stage);
-          pos += bitpack61::kBlockBytes;
-          avail = bitpack61::kBlockValues;
-        } else {
-          // Sub-block tail: the stream is byte-aligned here; drain the
-          // remaining rem values through the reference window.
-          unsigned __int128 acc = 0;
-          unsigned acc_bits = 0;
-          for (std::size_t j = 0; j < rem; ++j) {
-            while (acc_bits < value_bits) {
-              if (acc_bits <= 64 && pos + 8 <= packed_bytes) {
-                std::uint64_t w;
-                std::memcpy(&w, packed + pos, 8);
-                pos += 8;
-                acc |= static_cast<unsigned __int128>(w) << acc_bits;
-                acc_bits += 64;
-              } else {
-                acc |= static_cast<unsigned __int128>(packed[pos]) << acc_bits;
-                ++pos;
-                acc_bits += 8;
-              }
-            }
-            stage[j] = static_cast<std::uint64_t>(acc) & value_mask;
-            acc >>= value_bits;
-            acc_bits -= value_bits;
-          }
-          avail = rem;
-        }
-        next = 0;
-      }
-      dst[i] = stage[next++];
-      --rem;
-    }
-    return true;
-  }
-#endif
-  // Values stream out of a 128-bit window refilled with 8-byte loads
-  // (falling back to single bytes near the end of the packed region).
-  unsigned __int128 acc = 0;
-  unsigned acc_bits = 0;
-  std::size_t pos = 0;
+  // Every check is done; values now come out of whole blocks, the last
+  // (partial) one zero-padded to full block size first.
+  std::uint64_t stage[kBlock];
+  std::size_t next = kBlock, pos = 0;
   for (std::size_t i = 0; i < len; ++i) {
     if ((mask[i / 8] >> (i % 8) & 1u) == 0) {
       dst[i] = absent;
       continue;
     }
-    while (acc_bits < value_bits) {
-      if (acc_bits <= 64 && pos + 8 <= packed_bytes) {
-        std::uint64_t w;
-        std::memcpy(&w, packed + pos, 8);
-        pos += 8;
-        acc |= static_cast<unsigned __int128>(w) << acc_bits;
-        acc_bits += 64;
+    if (next == kBlock) {
+      const std::size_t rest = packed_bytes - pos;
+      if (rest >= bitpack61::kBlockBytes) {
+        bitpack61::unpack_block(packed + pos, stage);
+        pos += bitpack61::kBlockBytes;
       } else {
-        acc |= static_cast<unsigned __int128>(packed[pos]) << acc_bits;
-        ++pos;
-        acc_bits += 8;
+        std::uint8_t block[bitpack61::kBlockBytes] = {};
+        std::memcpy(block, packed + pos, rest);
+        bitpack61::unpack_block(block, stage);
+        pos = packed_bytes;
       }
+      next = 0;
     }
-    dst[i] = static_cast<std::uint64_t>(acc) & value_mask;
-    acc >>= value_bits;
-    acc_bits -= value_bits;
+    dst[i] = stage[next++];
   }
   return true;
 }

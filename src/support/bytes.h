@@ -35,23 +35,19 @@ class ByteWriter {
   //
   //   ceil(len/8) mask bytes   bit i (byte i/8, bit i%8) = entry i present;
   //                            bits >= len MUST be zero.
-  //   packed values            the present entries in index order, each
-  //                            `value_bits` bits, bit-packed LSB-first into
-  //                            ceil(popcount * value_bits / 8) bytes;
-  //                            padding bits in the last byte MUST be zero.
+  //   packed values            the present entries in index order, 61 bits
+  //                            each, bit-packed LSB-first into
+  //                            ceil(popcount * 61 / 8) bytes; padding bits
+  //                            in the last byte MUST be zero.
   //
-  // Entries equal to `absent` are masked out and cost 1 bit instead of
-  // `value_bits` bits. Every present entry must fit in `value_bits` bits
-  // (contract error otherwise); callers encoding canonical field elements
-  // pass value_bits = bit width of (modulus - 1).
-  //
-  // At value_bits = 61 (the default field) full runs of 8 present values
-  // are byte-aligned 61-byte blocks and go through the bulk kernels in
-  // support/bitpack61.h; the bit layout — and therefore every wire byte —
-  // is identical to the scalar window, which -DSSBFT_SIMD=off restores as
-  // the single reference path.
+  // Entries equal to `absent` are masked out and cost 1 bit instead of 61.
+  // Every present entry must fit in 61 bits (contract error otherwise) —
+  // canonical Mersenne-61 field elements always do. Eight values fill
+  // exactly one 61-byte block, so the packed region is a run of full
+  // blocks plus one partial block, all through the kernels in
+  // support/bitpack61.h.
   void masked_u64_vec(const std::uint64_t* data, std::size_t len,
-                      std::uint64_t absent, unsigned value_bits = 64);
+                      std::uint64_t absent);
 
   // Raw fixed-width bitmask: `nbits` bits from bitword storage (bit i =
   // word i/64, bit i%64), as ceil(nbits/8) bytes; padding bits in the last
@@ -99,7 +95,7 @@ class ByteReader {
   // bytes after the packed values) is not consumed here and therefore
   // fails the caller's at_end() check.
   bool masked_u64_vec_into(std::uint64_t* dst, std::size_t len,
-                           std::uint64_t absent, unsigned value_bits = 64);
+                           std::uint64_t absent);
 
   // Decodes ByteWriter::bits into bitword storage (the caller provides
   // bitword_count(nbits) words). Rejects nonzero padding bits in the last

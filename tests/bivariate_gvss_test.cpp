@@ -9,7 +9,7 @@ namespace ssbft {
 namespace {
 
 TEST(Bivariate, SymmetryHolds) {
-  PrimeField F(2305843009213693951ULL);
+  PrimeField F;
   Rng rng(1);
   auto B = SymmetricBivariate::sample(F, 3, 12345, rng);
   for (std::uint64_t x = 0; x < 6; ++x) {
@@ -20,7 +20,7 @@ TEST(Bivariate, SymmetryHolds) {
 }
 
 TEST(Bivariate, SecretIsConstantTerm) {
-  PrimeField F(101);
+  PrimeField F;
   Rng rng(2);
   auto B = SymmetricBivariate::sample(F, 2, 77, rng);
   EXPECT_EQ(B.secret(), 77u);
@@ -28,7 +28,7 @@ TEST(Bivariate, SecretIsConstantTerm) {
 }
 
 TEST(Bivariate, RowMatchesEvaluation) {
-  PrimeField F(65537);
+  PrimeField F;
   Rng rng(3);
   auto B = SymmetricBivariate::sample(F, 4, 9, rng);
   for (std::uint64_t x = 1; x <= 5; ++x) {
@@ -42,7 +42,7 @@ TEST(Bivariate, RowMatchesEvaluation) {
 
 TEST(Bivariate, CrossCheckConsistency) {
   // The round-2 identity: f_i(j) == f_j(i) for every pair.
-  PrimeField F(2305843009213693951ULL);
+  PrimeField F;
   Rng rng(4);
   auto B = SymmetricBivariate::sample(F, 3, 0, rng);
   for (NodeId i = 0; i < 8; ++i) {
@@ -56,7 +56,7 @@ TEST(Bivariate, CrossCheckConsistency) {
 TEST(Bivariate, SharesLieOnDegreeFPolynomial) {
   // Recover-phase structure: g(x) = F(x, 0) has degree <= f and
   // g(x_i) = row_i(0).
-  PrimeField F(2305843009213693951ULL);
+  PrimeField F;
   Rng rng(5);
   const int f = 3;
   auto B = SymmetricBivariate::sample(F, f, 4242, rng);
@@ -71,7 +71,7 @@ TEST(Bivariate, SharesLieOnDegreeFPolynomial) {
 }
 
 TEST(Gvss, ValidateRowAcceptsDealerOutput) {
-  PrimeField F(2305843009213693951ULL);
+  PrimeField F;
   Rng rng(6);
   const std::uint32_t f = 2;
   auto dealing = GvssDealing::sample(F, f, rng);
@@ -83,16 +83,16 @@ TEST(Gvss, ValidateRowAcceptsDealerOutput) {
 }
 
 TEST(Gvss, ValidateRowRejectsWrongWidth) {
-  PrimeField F(101);
+  PrimeField F;
   EXPECT_FALSE(validate_row(F, 2, {1, 2}).has_value());        // too short
   EXPECT_FALSE(validate_row(F, 2, {1, 2, 3, 4}).has_value());  // too long
 }
 
 TEST(Gvss, ValidateRowRejectsNonCanonicalElements) {
-  PrimeField F(101);
-  EXPECT_FALSE(validate_row(F, 1, {5, 101}).has_value());
+  PrimeField F;
+  EXPECT_FALSE(validate_row(F, 1, {5, PrimeField::kPrime}).has_value());
   EXPECT_FALSE(validate_row(F, 1, {5, ~std::uint64_t{0}}).has_value());
-  EXPECT_TRUE(validate_row(F, 1, {5, 100}).has_value());
+  EXPECT_TRUE(validate_row(F, 1, {5, PrimeField::kPrime - 1}).has_value());
 }
 
 TEST(Gvss, HappyThreshold) {
@@ -142,7 +142,7 @@ INSTANTIATE_TEST_SUITE_P(Sweep, GvssRecoverTest,
 
 TEST_P(GvssRecoverTest, RecoversWithAllHonestShares) {
   const auto [n, f] = GetParam();
-  PrimeField F(2305843009213693951ULL);
+  PrimeField F;
   Rng rng(n * 31 + f);
   for (int trial = 0; trial < 10; ++trial) {
     auto dealing = GvssDealing::sample(F, f, rng);
@@ -159,7 +159,7 @@ TEST_P(GvssRecoverTest, RecoversWithAllHonestShares) {
 
 TEST_P(GvssRecoverTest, RecoversWithFByzantineLies) {
   const auto [n, f] = GetParam();
-  PrimeField F(2305843009213693951ULL);
+  PrimeField F;
   Rng rng(n * 37 + f);
   for (int trial = 0; trial < 10; ++trial) {
     auto dealing = GvssDealing::sample(F, f, rng);
@@ -179,7 +179,7 @@ TEST_P(GvssRecoverTest, RecoversWithFByzantineLies) {
 TEST_P(GvssRecoverTest, RecoversWithSilentByzantine) {
   // f Byzantine senders say nothing: n-f honest shares still decode.
   const auto [n, f] = GetParam();
-  PrimeField F(2305843009213693951ULL);
+  PrimeField F;
   Rng rng(n * 41 + f);
   auto dealing = GvssDealing::sample(F, f, rng);
   std::vector<RsPoint> shares;
@@ -199,7 +199,7 @@ TEST_P(GvssRecoverTest, TableFastPathMatchesClassicInterpolation) {
   // and with subsets where the table does not apply and recovery falls
   // back to the generic route.
   const auto [n, f] = GetParam();
-  PrimeField F(2305843009213693951ULL);
+  PrimeField F;
   GvssRecoverTable table(F, n, f);
   Rng rng(n * 43 + f);
   for (int trial = 0; trial < 20; ++trial) {
@@ -232,7 +232,7 @@ TEST_P(GvssRecoverTest, TableFastPathMatchesClassicInterpolation) {
 TEST(Gvss, DealingResampleMatchesSample) {
   // resample() must make the same draws as sample() so pipeline recycling
   // is replay-identical to per-beat construction.
-  PrimeField F(2305843009213693951ULL);
+  PrimeField F;
   Rng rng_a(123), rng_b(123);
   auto fresh = GvssDealing::sample(F, 3, rng_a);
   auto recycled = GvssDealing::sample(F, 3, rng_b);
@@ -248,7 +248,7 @@ TEST(Gvss, DealingResampleMatchesSample) {
 }
 
 TEST(Gvss, RecoverFailsWithTooFewShares) {
-  PrimeField F(101);
+  PrimeField F;
   EXPECT_FALSE(gvss_recover(F, 2, {{1, 5}, {2, 9}}).has_value());
   EXPECT_FALSE(gvss_recover(F, 2, {}).has_value());
 }
@@ -258,7 +258,7 @@ TEST(Gvss, DegreeFSecrecy) {
   // dealings with those rows and *any* secret. Verified constructively for
   // f=1, n=4: enumerate two dealings sharing node 0's row but with
   // different secrets.
-  PrimeField F(101);
+  PrimeField F;
   Rng rng(77);
   auto B1 = SymmetricBivariate::sample(F, 1, 10, rng);
   Poly row0 = B1.row(F, node_point(0));

@@ -58,6 +58,22 @@ TEST(ShardSpecParse, RejectsEverythingElse) {
   }
 }
 
+TEST(U64Parse, AcceptsDigitsOnly) {
+  std::uint64_t v = 7;
+  EXPECT_TRUE(parse_u64_strict("0", &v));
+  EXPECT_EQ(v, 0u);
+  EXPECT_TRUE(parse_u64_strict("18446744073709551615", &v));
+  EXPECT_EQ(v, ~std::uint64_t{0});
+  // Everything strtoull would read loosely — as 0, a prefix, or a wrapped
+  // negative — is rejected and leaves the output alone.
+  for (const char* bad : {"", "abc", "8k", "-3", " 3", "+3", "3 ", "0x10",
+                          "18446744073709551616"}) {
+    v = 7;
+    EXPECT_FALSE(parse_u64_strict(bad, &v)) << "'" << bad << "'";
+    EXPECT_EQ(v, 7u);
+  }
+}
+
 TEST(HexFloat, RoundTripsBitExactly) {
   const double values[] = {0.0,
                            -0.0,

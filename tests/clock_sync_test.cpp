@@ -161,8 +161,7 @@ TEST(ClockSync, FullStackWithFmCoinAndAttacker) {
   // The outer coin pipeline sits after FULL/PROP/BIT (3) + the 4-clock.
   const auto coin_base = static_cast<ChannelId>(
       3 + SsByz4Clock::channels_needed(spec, CoinPipelineMode::kPerSubClock));
-  Engine eng(cfg, factory,
-             make_fm_coin_attacker(PrimeField::kDefaultPrime, coin_base));
+  Engine eng(cfg, factory, make_fm_coin_attacker(coin_base));
   ConvergenceConfig cc;
   cc.max_beats = 3000;
   EXPECT_TRUE(measure_convergence(eng, cc).converged);

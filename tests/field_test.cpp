@@ -1,73 +1,28 @@
-// Tests for prime-field arithmetic, primality, polynomials and
+// Tests for prime-field arithmetic, the batch kernels, polynomials and
 // interpolation — the algebra underneath the GVSS coin.
 #include <gtest/gtest.h>
 
 #include "field/fp.h"
 #include "field/fp_simd.h"
 #include "field/poly.h"
-#include "field/primes.h"
+#include "m61_oracle.h"
 #include "support/check.h"
 
 namespace ssbft {
 namespace {
 
-TEST(Primes, KnownSmallValues) {
-  EXPECT_FALSE(is_prime_u64(0));
-  EXPECT_FALSE(is_prime_u64(1));
-  EXPECT_TRUE(is_prime_u64(2));
-  EXPECT_TRUE(is_prime_u64(3));
-  EXPECT_FALSE(is_prime_u64(4));
-  EXPECT_TRUE(is_prime_u64(5));
-  EXPECT_FALSE(is_prime_u64(1001));  // 7 * 11 * 13
-  EXPECT_TRUE(is_prime_u64(1009));
+namespace oracle = testing::m61_oracle;
+
+constexpr std::uint64_t kP = PrimeField::kPrime;
+
+TEST(PrimeField, ModulusIsMersenne61) {
+  EXPECT_EQ(kP, oracle::kP);
+  EXPECT_EQ(kP, 2305843009213693951ULL);
 }
 
-TEST(Primes, CarmichaelNumbersRejected) {
-  // Carmichael numbers fool Fermat tests; Miller-Rabin must not be fooled.
-  for (std::uint64_t c : {561ULL, 1105ULL, 1729ULL, 2465ULL, 294409ULL}) {
-    EXPECT_FALSE(is_prime_u64(c)) << c;
-  }
-}
-
-TEST(Primes, LargeKnownValues) {
-  EXPECT_TRUE(is_prime_u64(2305843009213693951ULL));   // 2^61 - 1 (Mersenne)
-  EXPECT_FALSE(is_prime_u64(2305843009213693953ULL));  // 2^61 + 1 = 3*715827883*...
-  EXPECT_TRUE(is_prime_u64(18446744073709551557ULL));  // largest 64-bit prime
-}
-
-TEST(Primes, SmallestPrimeAbove) {
-  EXPECT_EQ(smallest_prime_above(0), 2u);
-  EXPECT_EQ(smallest_prime_above(2), 3u);
-  EXPECT_EQ(smallest_prime_above(3), 5u);
-  EXPECT_EQ(smallest_prime_above(10), 11u);
-  EXPECT_EQ(smallest_prime_above(13), 17u);
-  EXPECT_EQ(smallest_prime_above(100), 101u);
-}
-
-TEST(Primes, SmallestPrimeAboveIsCanonicalForNodeCounts) {
-  // Remark 2.3: every node must derive the same field from n alone.
-  for (std::uint64_t n = 4; n < 200; ++n) {
-    const std::uint64_t p = smallest_prime_above(n);
-    EXPECT_GT(p, n);
-    EXPECT_TRUE(is_prime_u64(p));
-    for (std::uint64_t q = n + 1; q < p; ++q) EXPECT_FALSE(is_prime_u64(q));
-  }
-}
-
-TEST(PrimeField, RejectsComposite) {
-  EXPECT_THROW(PrimeField(10), contract_error);
-  EXPECT_THROW(PrimeField(1), contract_error);
-}
-
-class FieldLawsTest : public ::testing::TestWithParam<std::uint64_t> {};
-
-INSTANTIATE_TEST_SUITE_P(Moduli, FieldLawsTest,
-                         ::testing::Values(5ULL, 101ULL, 65537ULL,
-                                           2305843009213693951ULL));
-
-TEST_P(FieldLawsTest, RingAxiomsOnRandomElements) {
-  PrimeField F(GetParam());
-  Rng rng(GetParam());
+TEST(PrimeField, RingAxiomsOnRandomElements) {
+  PrimeField F;
+  Rng rng(kP);
   for (int i = 0; i < 200; ++i) {
     const auto a = F.uniform(rng), b = F.uniform(rng), c = F.uniform(rng);
     EXPECT_EQ(F.add(a, b), F.add(b, a));
@@ -77,12 +32,14 @@ TEST_P(FieldLawsTest, RingAxiomsOnRandomElements) {
     EXPECT_EQ(F.mul(a, F.add(b, c)), F.add(F.mul(a, b), F.mul(a, c)));
     EXPECT_EQ(F.add(a, F.neg(a)), 0u);
     EXPECT_EQ(F.sub(a, b), F.add(a, F.neg(b)));
+    EXPECT_EQ(F.add(a, b), oracle::add(a, b));
+    EXPECT_EQ(F.sub(a, b), oracle::sub(a, b));
   }
 }
 
-TEST_P(FieldLawsTest, InverseIsTotalOnNonzero) {
-  PrimeField F(GetParam());
-  Rng rng(GetParam() + 1);
+TEST(PrimeField, InverseIsTotalOnNonzero) {
+  PrimeField F;
+  Rng rng(kP + 1);
   for (int i = 0; i < 100; ++i) {
     const auto a = F.uniform_nonzero(rng);
     EXPECT_EQ(F.mul(a, F.inv(a)), 1u);
@@ -90,105 +47,75 @@ TEST_P(FieldLawsTest, InverseIsTotalOnNonzero) {
   EXPECT_THROW(F.inv(0), contract_error);
 }
 
-TEST_P(FieldLawsTest, PowMatchesRepeatedMultiplication) {
-  PrimeField F(GetParam());
-  Rng rng(GetParam() + 2);
+TEST(PrimeField, PowMatchesRepeatedMultiplication) {
+  PrimeField F;
+  Rng rng(kP + 2);
   const auto a = F.uniform(rng);
-  std::uint64_t acc = 1 % F.modulus();
+  std::uint64_t acc = 1;
   for (std::uint64_t e = 0; e < 20; ++e) {
     EXPECT_EQ(F.pow(a, e), acc);
     acc = F.mul(acc, a);
   }
 }
 
-TEST_P(FieldLawsTest, FermatLittleTheorem) {
-  PrimeField F(GetParam());
-  Rng rng(GetParam() + 3);
+TEST(PrimeField, FermatLittleTheorem) {
+  PrimeField F;
+  Rng rng(kP + 3);
   for (int i = 0; i < 20; ++i) {
     const auto a = F.uniform_nonzero(rng);
-    EXPECT_EQ(F.pow(a, F.modulus() - 1), 1u);
+    EXPECT_EQ(F.pow(a, kP - 1), 1u);
   }
 }
 
-// --- Mersenne-61 fast path vs the generic reference -------------------------
-//
-// PrimeField dispatches to shift/add folding exactly when p = 2^61 - 1; the
-// reference below is the generic backend's formula, computed inline so the
-// two cannot share a code path.
+// --- Mersenne-61 folds vs the `%` oracle ------------------------------------
 
-constexpr std::uint64_t kM61 = PrimeField::kDefaultPrime;
-
-std::uint64_t ref_mul_m61(std::uint64_t a, std::uint64_t b) {
-  return static_cast<std::uint64_t>(static_cast<unsigned __int128>(a) * b %
-                                    kM61);
-}
-
-TEST(Mersenne61, MulMatchesGenericReference) {
+TEST(Mersenne61, MulMatchesOracle) {
   PrimeField F;
   Rng rng(42);
   // Edge elements: products of the largest pair reach (p-1)^2 > 2^121.
   const std::vector<std::uint64_t> edge{
-      0, 1, 2, 3, (1ULL << 60) - 1, 1ULL << 60, kM61 / 2, kM61 - 2, kM61 - 1};
+      0, 1, 2, 3, (1ULL << 60) - 1, 1ULL << 60, kP / 2, kP - 2, kP - 1};
   for (std::uint64_t a : edge) {
     for (std::uint64_t b : edge) {
-      EXPECT_EQ(F.mul(a, b), ref_mul_m61(a, b)) << a << " * " << b;
+      EXPECT_EQ(F.mul(a, b), oracle::mul(a, b)) << a << " * " << b;
     }
   }
   for (int i = 0; i < 2000; ++i) {
     const std::uint64_t a = F.uniform(rng), b = F.uniform(rng);
-    ASSERT_EQ(F.mul(a, b), ref_mul_m61(a, b)) << a << " * " << b;
+    ASSERT_EQ(F.mul(a, b), oracle::mul(a, b)) << a << " * " << b;
   }
 }
 
-TEST(Mersenne61, ReduceMatchesGenericReference) {
+TEST(Mersenne61, ReduceMatchesOracle) {
   PrimeField F;
   Rng rng(43);
-  const std::vector<std::uint64_t> edge{0,        1,         kM61 - 1, kM61,
-                                        kM61 + 1, 2 * kM61,  2 * kM61 + 1,
-                                        ~0ULL,    ~0ULL - 1, 1ULL << 61};
-  for (std::uint64_t v : edge) EXPECT_EQ(F.reduce(v), v % kM61) << v;
+  const std::vector<std::uint64_t> edge{0,      1,         kP - 1, kP,
+                                        kP + 1, 2 * kP,    2 * kP + 1,
+                                        ~0ULL,  ~0ULL - 1, 1ULL << 61};
+  for (std::uint64_t v : edge) EXPECT_EQ(F.reduce(v), v % kP) << v;
   for (int i = 0; i < 2000; ++i) {
     const std::uint64_t v = rng.next_u64();
-    ASSERT_EQ(F.reduce(v), v % kM61) << v;
+    ASSERT_EQ(F.reduce(v), v % kP) << v;
   }
 }
 
 TEST(Mersenne61, ExtendedEuclidInvMatchesFermat) {
   PrimeField F;
   Rng rng(44);
-  const std::vector<std::uint64_t> edge{1, 2, kM61 - 1, kM61 - 2, kM61 / 2};
+  const std::vector<std::uint64_t> edge{1, 2, kP - 1, kP - 2, kP / 2};
   for (std::uint64_t a : edge) {
-    EXPECT_EQ(F.inv(a), F.pow(a, kM61 - 2)) << a;
+    EXPECT_EQ(F.inv(a), oracle::inv(a)) << a;
     EXPECT_EQ(F.mul(a, F.inv(a)), 1u) << a;
   }
   for (int i = 0; i < 200; ++i) {
     const std::uint64_t a = F.uniform_nonzero(rng);
-    ASSERT_EQ(F.inv(a), F.pow(a, kM61 - 2)) << a;
+    ASSERT_EQ(F.inv(a), oracle::inv(a)) << a;
   }
 }
 
-TEST(PrimeField, InvHandlesModuliAboveTwoTo63) {
-  // Bezout coefficients overflow int64 for p near 2^64; the extended
-  // Euclid must track them wide. Largest 64-bit prime:
-  PrimeField F(18446744073709551557ULL);
-  Rng rng(45);
-  for (int i = 0; i < 100; ++i) {
-    const std::uint64_t a = F.uniform_nonzero(rng);
-    ASSERT_EQ(F.mul(a, F.inv(a)), 1u) << a;
-  }
-}
-
-class BatchKernelsTest : public ::testing::TestWithParam<std::uint64_t> {};
-
-// Both backends: the Mersenne prime exercises the folded loops, the others
-// the generic ones.
-INSTANTIATE_TEST_SUITE_P(Moduli, BatchKernelsTest,
-                         ::testing::Values(65537ULL, kM61,
-                                           18446744073709551557ULL));
-
-TEST_P(BatchKernelsTest, MulScaleSubmulMatchScalarOps) {
-  PrimeField F(GetParam());
-  Rng rng(GetParam() % 1000 + 7);
+TEST(BatchKernels, MulScaleSubmulMatchScalarOps) {
+  PrimeField F;
+  Rng rng(kP % 1000 + 7);
   const std::size_t len = 257;
   std::vector<std::uint64_t> a(len), b(len), out(len);
   for (std::size_t i = 0; i < len; ++i) {
@@ -207,14 +134,14 @@ TEST_P(BatchKernelsTest, MulScaleSubmulMatchScalarOps) {
   }
 }
 
-TEST_P(BatchKernelsTest, BatchInvMatchesScalarInv) {
-  PrimeField F(GetParam());
-  Rng rng(GetParam() % 1000 + 8);
+TEST(BatchKernels, BatchInvMatchesScalarInv) {
+  PrimeField F;
+  Rng rng(kP % 1000 + 8);
   for (std::size_t len : {std::size_t{1}, std::size_t{2}, std::size_t{65}}) {
     std::vector<std::uint64_t> vals(len), scratch(len);
     for (auto& v : vals) v = F.uniform_nonzero(rng);
     // Include the edge element p-1 (its own inverse).
-    vals[0] = F.modulus() - 1;
+    vals[0] = kP - 1;
     const std::vector<std::uint64_t> orig = vals;
     F.batch_inv(vals.data(), len, scratch.data());
     for (std::size_t i = 0; i < len; ++i) {
@@ -223,9 +150,9 @@ TEST_P(BatchKernelsTest, BatchInvMatchesScalarInv) {
   }
 }
 
-TEST_P(BatchKernelsTest, EvalManyMatchesHorner) {
-  PrimeField F(GetParam());
-  Rng rng(GetParam() % 1000 + 9);
+TEST(BatchKernels, EvalManyMatchesHorner) {
+  PrimeField F;
+  Rng rng(kP % 1000 + 9);
   Poly p = Poly::random(F, 7, rng);
   const std::size_t m = 33;
   std::vector<std::uint64_t> xs(m), out(m);
@@ -238,154 +165,178 @@ TEST_P(BatchKernelsTest, EvalManyMatchesHorner) {
   }
 }
 
-// --- SIMD vs scalar bit-exactness -----------------------------------------
+// --- Kernel property tests: dispatched vs scalar reference vs oracle --------
 //
-// PrimeField(kM61) routes batch kernels to the runtime-selected vector
-// backend (when one exists on this machine); SimdMode::kOff pins the scalar
-// reference. The two must agree bit for bit on every input, including the
-// adversarial edges: 0, 1, p-1 (products up to (p-1)^2 >= 2^122), lengths
-// that are not multiples of any lane width, and empty/short inputs. On
-// machines without a vector unit both fields run scalar and the tests are
-// vacuous but green.
+// Every batch kernel is checked three ways: the dispatched kernel (the
+// vector backend where this machine has one), m61simd's scalar reference,
+// and the `%`-based oracle in m61_oracle.h. Lengths 0..40 cover every lane
+// residue and both sides of batch_inv's lane threshold (32); 257 adds a
+// long vector. Edge values 0, 1 and p-1 are planted so every lane position
+// sees each of them ((p-1)*(p-1) is the 2^122-magnitude fold case). On
+// machines without a vector unit the first two sides coincide and the
+// oracle still checks both.
+
+std::vector<std::size_t> kernel_lengths() {
+  std::vector<std::size_t> lens;
+  for (std::size_t len = 0; len <= 40; ++len) lens.push_back(len);
+  lens.push_back(257);
+  return lens;
+}
+
+// Random canonical vector with the edges {0, 1, p-1} on every other slot,
+// rotated by `phase` so two vectors pair each edge with every other edge.
+std::vector<std::uint64_t> edgy_vec(std::size_t len, Rng& rng,
+                                    std::size_t phase) {
+  const std::uint64_t edges[] = {0, 1, kP - 1};
+  std::vector<std::uint64_t> v(len);
+  for (std::size_t i = 0; i < len; ++i) {
+    v[i] = (i + phase) % 2 == 0 ? edges[(i / 2 + phase) % 3]
+                                : rng.next_below(kP);
+  }
+  return v;
+}
 
 TEST(Mersenne61Simd, DispatchModeIsHonored) {
-  EXPECT_FALSE(PrimeField(kM61, SimdMode::kOff).simd_active());
-  // Non-Mersenne moduli never have a vector backend.
-  EXPECT_FALSE(PrimeField(65537ULL).simd_active());
 #if defined(__x86_64__) && !defined(SSBFT_SIMD_DISABLED)
-  EXPECT_EQ(PrimeField(kM61).simd_active(), m61simd::available());
+  EXPECT_EQ(PrimeField().simd_active(), m61simd::available());
 #else
-  EXPECT_FALSE(PrimeField(kM61).simd_active());
+  EXPECT_FALSE(PrimeField().simd_active());
 #endif
 }
 
-TEST(Mersenne61Simd, MulScaleSubmulMatchScalarPathOnEdges) {
-  PrimeField F(kM61);
-  PrimeField R(kM61, SimdMode::kOff);
+TEST(Mersenne61Simd, MulScaleSubmulMatchScalarAndOracle) {
+  PrimeField F;
   Rng rng(2024);
-  const std::uint64_t edges[] = {0, 1, 2, kM61 - 2, kM61 - 1};
-  for (std::size_t len :
-       {std::size_t{0}, std::size_t{1}, std::size_t{3}, std::size_t{4},
-        std::size_t{5}, std::size_t{7}, std::size_t{8}, std::size_t{9},
-        std::size_t{31}, std::size_t{257}}) {
-    std::vector<std::uint64_t> a(len), b(len);
-    for (std::size_t i = 0; i < len; ++i) {
-      // Saturate with edge values so every lane position sees 0, 1 and
-      // p-1 (the (p-1)*(p-1) product is the 2^122-magnitude fold case).
-      a[i] = (i % 3 == 0) ? edges[i % 5] : F.uniform(rng);
-      b[i] = (i % 3 == 1) ? edges[(i + 2) % 5] : F.uniform(rng);
-    }
-    std::vector<std::uint64_t> got(len), want(len);
+  for (std::size_t len : kernel_lengths()) {
+    const auto a = edgy_vec(len, rng, 0), b = edgy_vec(len, rng, 1);
+    std::vector<std::uint64_t> got(len), ref(len), want(len);
     F.mul_vec(a.data(), b.data(), got.data(), len);
-    R.mul_vec(a.data(), b.data(), want.data(), len);
+    m61simd::mul_vec_scalar(a.data(), b.data(), ref.data(), len);
+    for (std::size_t i = 0; i < len; ++i) want[i] = oracle::mul(a[i], b[i]);
     ASSERT_EQ(got, want) << "mul_vec len=" << len;
-    for (const std::uint64_t c : edges) {
+    ASSERT_EQ(ref, want) << "mul_vec_scalar len=" << len;
+    for (const std::uint64_t c : {std::uint64_t{0}, std::uint64_t{1}, kP - 1,
+                                  rng.next_below(kP)}) {
       F.scale_vec(a.data(), c, got.data(), len);
-      R.scale_vec(a.data(), c, want.data(), len);
+      m61simd::scale_vec_scalar(a.data(), c, ref.data(), len);
+      for (std::size_t i = 0; i < len; ++i) want[i] = oracle::mul(a[i], c);
       ASSERT_EQ(got, want) << "scale_vec len=" << len << " c=" << c;
-      std::vector<std::uint64_t> dg = a, dw = a;
-      F.submul_vec(dg.data(), b.data(), c, len);
-      R.submul_vec(dw.data(), b.data(), c, len);
-      ASSERT_EQ(dg, dw) << "submul_vec len=" << len << " c=" << c;
+      ASSERT_EQ(ref, want) << "scale_vec_scalar len=" << len << " c=" << c;
+      got = a;
+      ref = a;
+      F.submul_vec(got.data(), b.data(), c, len);
+      m61simd::submul_vec_scalar(ref.data(), b.data(), c, len);
+      for (std::size_t i = 0; i < len; ++i) {
+        want[i] = oracle::sub(a[i], oracle::mul(b[i], c));
+      }
+      ASSERT_EQ(got, want) << "submul_vec len=" << len << " c=" << c;
+      ASSERT_EQ(ref, want) << "submul_vec_scalar len=" << len << " c=" << c;
     }
   }
 }
 
-TEST(Mersenne61Simd, AddmulAndDotMatchScalarPathOnEdges) {
-  PrimeField F(kM61);
-  PrimeField R(kM61, SimdMode::kOff);
+TEST(Mersenne61Simd, AddmulAndDotMatchScalarAndOracle) {
+  PrimeField F;
   Rng rng(2027);
-  const std::uint64_t edges[] = {0, 1, 2, kM61 - 2, kM61 - 1};
-  for (std::size_t len :
-       {std::size_t{0}, std::size_t{1}, std::size_t{3}, std::size_t{4},
-        std::size_t{5}, std::size_t{7}, std::size_t{8}, std::size_t{9},
-        std::size_t{31}, std::size_t{257}}) {
-    std::vector<std::uint64_t> a(len), b(len);
-    for (std::size_t i = 0; i < len; ++i) {
-      a[i] = (i % 3 == 0) ? edges[i % 5] : F.uniform(rng);
-      b[i] = (i % 3 == 1) ? edges[(i + 2) % 5] : F.uniform(rng);
-    }
+  for (std::size_t len : kernel_lengths()) {
+    const auto a = edgy_vec(len, rng, 0), b = edgy_vec(len, rng, 1);
     // dot reassociates the accumulation across lanes, which is exact under
-    // modular addition — the scalar left-to-right sum is the oracle.
-    ASSERT_EQ(F.dot(a.data(), b.data(), len), R.dot(a.data(), b.data(), len))
-        << "dot len=" << len;
-    for (const std::uint64_t c : edges) {
-      std::vector<std::uint64_t> dg = a, dw = a;
-      F.addmul_vec(dg.data(), b.data(), c, len);
-      R.addmul_vec(dw.data(), b.data(), c, len);
-      ASSERT_EQ(dg, dw) << "addmul_vec len=" << len << " c=" << c;
+    // modular addition — the oracle sums left to right.
+    std::uint64_t want_dot = 0;
+    for (std::size_t i = 0; i < len; ++i) {
+      want_dot = oracle::add(want_dot, oracle::mul(a[i], b[i]));
+    }
+    ASSERT_EQ(F.dot(a.data(), b.data(), len), want_dot) << "dot len=" << len;
+    ASSERT_EQ(m61simd::dot_scalar(a.data(), b.data(), len), want_dot)
+        << "dot_scalar len=" << len;
+    for (const std::uint64_t c : {std::uint64_t{0}, std::uint64_t{1}, kP - 1,
+                                  rng.next_below(kP)}) {
+      std::vector<std::uint64_t> got = a, ref = a, want(len);
+      F.addmul_vec(got.data(), b.data(), c, len);
+      m61simd::addmul_vec_scalar(ref.data(), b.data(), c, len);
+      for (std::size_t i = 0; i < len; ++i) {
+        want[i] = oracle::add(a[i], oracle::mul(b[i], c));
+      }
+      ASSERT_EQ(got, want) << "addmul_vec len=" << len << " c=" << c;
+      ASSERT_EQ(ref, want) << "addmul_vec_scalar len=" << len << " c=" << c;
     }
   }
 }
 
-TEST(Mersenne61Simd, EvalManyMatchesScalarPathOnEdges) {
-  PrimeField F(kM61);
-  PrimeField R(kM61, SimdMode::kOff);
+TEST(Mersenne61Simd, EvalManyMatchesScalarAndOracle) {
+  PrimeField F;
   Rng rng(2025);
   for (std::size_t count :
        {std::size_t{0}, std::size_t{1}, std::size_t{3}, std::size_t{43}}) {
-    for (std::size_t m :
-         {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{8},
-          std::size_t{9}, std::size_t{15}, std::size_t{16}, std::size_t{129}}) {
-      std::vector<std::uint64_t> coeffs(count), xs(m);
-      for (auto& c : coeffs) c = F.uniform(rng);
-      if (count > 0) coeffs[0] = kM61 - 1;
-      for (std::size_t k = 0; k < m; ++k) {
-        xs[k] = (k % 4 == 0) ? kM61 - 1 : F.uniform(rng);
-      }
-      std::vector<std::uint64_t> got(m), want(m);
+    for (std::size_t m : kernel_lengths()) {
+      const auto coeffs = edgy_vec(count, rng, 0);
+      const auto xs = edgy_vec(m, rng, 1);
+      std::vector<std::uint64_t> got(m), ref(m);
       F.eval_many(coeffs.data(), count, xs.data(), m, got.data());
-      R.eval_many(coeffs.data(), count, xs.data(), m, want.data());
-      ASSERT_EQ(got, want) << "count=" << count << " m=" << m;
+      m61simd::eval_many_scalar(coeffs.data(), count, xs.data(), m,
+                                ref.data());
       for (std::size_t k = 0; k < m; ++k) {
-        ASSERT_EQ(got[k], R.horner(coeffs.data(), count, xs[k]));
+        const std::uint64_t want = oracle::horner(coeffs.data(), count, xs[k]);
+        ASSERT_EQ(got[k], want) << "count=" << count << " m=" << m;
+        ASSERT_EQ(ref[k], want) << "count=" << count << " m=" << m;
+        ASSERT_EQ(F.horner(coeffs.data(), count, xs[k]), want);
       }
     }
   }
 }
 
-TEST(Mersenne61Simd, BatchInvMatchesScalarPathAcrossLaneBoundaries) {
-  PrimeField F(kM61);
-  PrimeField R(kM61, SimdMode::kOff);
+TEST(Mersenne61Simd, BatchInvMatchesOracleAcrossLaneBoundaries) {
+  PrimeField F;
   Rng rng(2026);
-  // 32 is the lane-path threshold; straddle it and every len % 4 residue.
-  for (std::size_t len :
-       {std::size_t{31}, std::size_t{32}, std::size_t{33}, std::size_t{34},
-        std::size_t{35}, std::size_t{64}, std::size_t{127}, std::size_t{257}}) {
-    std::vector<std::uint64_t> vals(len), scratch(len);
-    for (auto& v : vals) v = F.uniform_nonzero(rng);
-    vals[0] = kM61 - 1;  // self-inverse edge
-    vals[len / 2] = 1;
-    std::vector<std::uint64_t> ref = vals;
-    std::vector<std::uint64_t> ref_scratch(len);
+  for (std::size_t len : kernel_lengths()) {
+    std::vector<std::uint64_t> vals = edgy_vec(len, rng, 0), scratch(len);
+    for (auto& v : vals) {
+      if (v == 0) v = 1 + rng.next_below(kP - 1);  // inverses need nonzero
+    }
+    const std::vector<std::uint64_t> orig = vals;
     F.batch_inv(vals.data(), len, scratch.data());
-    R.batch_inv(ref.data(), len, ref_scratch.data());
-    ASSERT_EQ(vals, ref) << "len=" << len;
+    for (std::size_t i = 0; i < len; ++i) {
+      ASSERT_EQ(vals[i], oracle::inv(orig[i])) << "len=" << len << " i=" << i;
+    }
   }
 }
 
-TEST(Mersenne61Simd, RawKernelsAgreeWithField) {
-  // The m61simd seam itself (what fp.cpp calls) against the field's
-  // checked scalar ops, over a non-multiple-of-lane-width length.
-  PrimeField R(kM61, SimdMode::kOff);
-  Rng rng(2027);
-  const std::size_t len = 21;
-  std::vector<std::uint64_t> a(len), b(len), out(len);
-  for (std::size_t i = 0; i < len; ++i) {
-    a[i] = R.uniform(rng);
-    b[i] = R.uniform(rng);
-  }
-  m61simd::mul_vec(a.data(), b.data(), out.data(), len);
-  for (std::size_t i = 0; i < len; ++i) {
-    ASSERT_EQ(out[i], R.mul(a[i], b[i]));
+TEST(Mersenne61Simd, ChunkPassesMatchScalarAndOracle) {
+  // The four-lane prefix/unwind passes behind batch_inv, per chunk length.
+  Rng rng(2028);
+  for (std::size_t K = 1; K <= 10; ++K) {
+    std::vector<std::uint64_t> vals = edgy_vec(4 * K, rng, 1);
+    for (auto& v : vals) {
+      if (v == 0) v = 1 + rng.next_below(kP - 1);
+    }
+    std::vector<std::uint64_t> got(4 * K), ref(4 * K), want(4 * K);
+    m61simd::chunk_prefix(vals.data(), got.data(), K);
+    m61simd::chunk_prefix_scalar(vals.data(), ref.data(), K);
+    std::uint64_t inv_totals[4];
+    for (std::size_t c = 0; c < 4; ++c) {
+      std::uint64_t run = 1;
+      for (std::size_t i = c * K; i < (c + 1) * K; ++i) {
+        want[i] = run = oracle::mul(run, vals[i]);
+      }
+      inv_totals[c] = oracle::inv(run);
+    }
+    ASSERT_EQ(got, want) << "chunk_prefix K=" << K;
+    ASSERT_EQ(ref, want) << "chunk_prefix_scalar K=" << K;
+    std::vector<std::uint64_t> inv_got = vals, inv_ref = vals;
+    m61simd::chunk_unwind(inv_got.data(), got.data(), inv_totals, K);
+    m61simd::chunk_unwind_scalar(inv_ref.data(), ref.data(), inv_totals, K);
+    for (std::size_t i = 0; i < 4 * K; ++i) {
+      ASSERT_EQ(inv_got[i], oracle::inv(vals[i])) << "K=" << K << " i=" << i;
+      ASSERT_EQ(inv_ref[i], oracle::inv(vals[i])) << "K=" << K << " i=" << i;
+    }
   }
 }
 
 TEST(PrimeField, UniformStaysInRange) {
-  PrimeField F(101);
+  PrimeField F;
   Rng rng(4);
   for (int i = 0; i < 1000; ++i) {
-    EXPECT_LT(F.uniform(rng), 101u);
+    EXPECT_LT(F.uniform(rng), kP);
     EXPECT_NE(F.uniform_nonzero(rng), 0u);
   }
 }
@@ -398,15 +349,15 @@ TEST(Poly, DegreeAndNormalization) {
 }
 
 TEST(Poly, HornerEvaluation) {
-  PrimeField F(101);
+  PrimeField F;
   Poly p({3, 2, 1});  // 3 + 2x + x^2
   EXPECT_EQ(p.eval(F, 0), 3u);
   EXPECT_EQ(p.eval(F, 1), 6u);
-  EXPECT_EQ(p.eval(F, 10), (3 + 20 + 100) % 101);
+  EXPECT_EQ(p.eval(F, 10), 123u);
 }
 
 TEST(Poly, ArithmeticConsistentWithEvaluation) {
-  PrimeField F(65537);
+  PrimeField F;
   Rng rng(5);
   for (int i = 0; i < 50; ++i) {
     Poly a = Poly::random(F, 4, rng);
@@ -420,7 +371,7 @@ TEST(Poly, ArithmeticConsistentWithEvaluation) {
 }
 
 TEST(Poly, DivmodRoundTrip) {
-  PrimeField F(65537);
+  PrimeField F;
   Rng rng(6);
   for (int i = 0; i < 50; ++i) {
     Poly a = Poly::random(F, 6, rng);
@@ -433,19 +384,19 @@ TEST(Poly, DivmodRoundTrip) {
 }
 
 TEST(Poly, DivisionByZeroRejected) {
-  PrimeField F(101);
+  PrimeField F;
   EXPECT_THROW(Poly({1, 2}).divmod(F, Poly()), contract_error);
 }
 
 TEST(Poly, DivmodZeroDividend) {
-  PrimeField F(101);
+  PrimeField F;
   auto [q, r] = Poly().divmod(F, Poly({3, 1}));
   EXPECT_TRUE(q.is_zero());
   EXPECT_TRUE(r.is_zero());
 }
 
 TEST(Poly, DivmodLowerDegreeDividendIsIdentityRemainder) {
-  PrimeField F(101);
+  PrimeField F;
   Poly a({7, 5});           // degree 1
   Poly d({1, 2, 3, 4});     // degree 3
   auto [q, r] = a.divmod(F, d);
@@ -454,7 +405,7 @@ TEST(Poly, DivmodLowerDegreeDividendIsIdentityRemainder) {
 }
 
 TEST(Poly, DivmodEqualDegrees) {
-  PrimeField F(65537);
+  PrimeField F;
   Rng rng(9);
   for (int i = 0; i < 20; ++i) {
     Poly a = Poly::random(F, 4, rng);
@@ -468,7 +419,7 @@ TEST(Poly, DivmodEqualDegrees) {
 }
 
 TEST(Poly, ScratchVariantsMatchValueApi) {
-  PrimeField F(65537);
+  PrimeField F;
   Rng rng(10);
   std::vector<std::uint64_t> scratch;  // reused across iterations
   for (int i = 0; i < 30; ++i) {
@@ -482,7 +433,7 @@ TEST(Poly, ScratchVariantsMatchValueApi) {
 }
 
 TEST(Poly, RandomWithConstantPinsSecret) {
-  PrimeField F(101);
+  PrimeField F;
   Rng rng(7);
   for (int i = 0; i < 20; ++i) {
     Poly p = Poly::random_with_constant(F, 3, 42, rng);
@@ -492,7 +443,7 @@ TEST(Poly, RandomWithConstantPinsSecret) {
 }
 
 TEST(Interpolation, RecoversOriginalPolynomial) {
-  PrimeField F(2305843009213693951ULL);
+  PrimeField F;
   Rng rng(8);
   for (int deg = 0; deg <= 6; ++deg) {
     Poly p = Poly::random(F, deg, rng);
@@ -506,7 +457,7 @@ TEST(Interpolation, RecoversOriginalPolynomial) {
 }
 
 TEST(Interpolation, ExactDegreeBound) {
-  PrimeField F(101);
+  PrimeField F;
   // 3 points -> degree <= 2 polynomial through them.
   Poly p = lagrange_interpolate(F, {1, 2, 3}, {10, 20, 40});
   EXPECT_LE(p.degree(), 2);
@@ -516,7 +467,7 @@ TEST(Interpolation, ExactDegreeBound) {
 }
 
 TEST(Interpolation, DuplicateNodesRejected) {
-  PrimeField F(101);
+  PrimeField F;
   EXPECT_THROW(lagrange_interpolate(F, {1, 1}, {2, 3}), contract_error);
 }
 

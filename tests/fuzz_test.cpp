@@ -73,8 +73,7 @@ class FuzzAdversary final : public Adversary {
         break;
       }
       case 4:  // non-canonical field elements around the modulus
-        w.u64_vec({PrimeField::kDefaultPrime,
-                   PrimeField::kDefaultPrime + 1,
+        w.u64_vec({PrimeField::kPrime, PrimeField::kPrime + 1,
                    ~std::uint64_t{0}, 0});
         break;
       case 5: {  // random blob
@@ -86,10 +85,10 @@ class FuzzAdversary final : public Adversary {
       case 6: {  // well-formed masked field vector, sentinels included
         std::vector<std::uint64_t> v(rng.next_below(20));
         for (auto& x : v) {
-          x = rng.next_bernoulli(0.4) ? PrimeField::kDefaultPrime
-                                      : rng.next_below(PrimeField::kDefaultPrime);
+          x = rng.next_bernoulli(0.4) ? PrimeField::kPrime
+                                      : rng.next_below(PrimeField::kPrime);
         }
-        w.masked_u64_vec(v.data(), v.size(), PrimeField::kDefaultPrime, 61);
+        w.masked_u64_vec(v.data(), v.size(), PrimeField::kPrime);
         break;
       }
       case 7: {  // masked-format garbage: random mask bytes, random tail

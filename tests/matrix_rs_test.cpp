@@ -12,7 +12,7 @@ namespace ssbft {
 namespace {
 
 TEST(Matrix, SolvesIdentitySystem) {
-  PrimeField F(101);
+  PrimeField F;
   Matrix A(3, 3);
   for (std::size_t i = 0; i < 3; ++i) A.at(i, i) = 1;
   auto x = solve_linear(F, A, {5, 7, 9});
@@ -21,7 +21,7 @@ TEST(Matrix, SolvesIdentitySystem) {
 }
 
 TEST(Matrix, SolvesGeneralSystem) {
-  PrimeField F(101);
+  PrimeField F;
   // x + y = 3; 2x + y = 5  ->  x = 2, y = 1.
   Matrix A(2, 2);
   A.at(0, 0) = 1; A.at(0, 1) = 1;
@@ -33,7 +33,7 @@ TEST(Matrix, SolvesGeneralSystem) {
 }
 
 TEST(Matrix, DetectsInconsistency) {
-  PrimeField F(101);
+  PrimeField F;
   // x + y = 1; x + y = 2 is unsatisfiable.
   Matrix A(2, 2);
   A.at(0, 0) = 1; A.at(0, 1) = 1;
@@ -42,7 +42,7 @@ TEST(Matrix, DetectsInconsistency) {
 }
 
 TEST(Matrix, UnderdeterminedPicksASolution) {
-  PrimeField F(101);
+  PrimeField F;
   // One equation, two unknowns: x + 2y = 7; free variable set to zero.
   Matrix A(1, 2);
   A.at(0, 0) = 1; A.at(0, 1) = 2;
@@ -52,7 +52,7 @@ TEST(Matrix, UnderdeterminedPicksASolution) {
 }
 
 TEST(Matrix, RandomSolvableSystemsVerify) {
-  PrimeField F(2305843009213693951ULL);
+  PrimeField F;
   Rng rng(21);
   for (int trial = 0; trial < 30; ++trial) {
     const std::size_t n = 1 + rng.next_below(8);
@@ -84,7 +84,7 @@ TEST(Matrix, RandomSolvableSystemsVerify) {
 }
 
 TEST(Matrix, RankOfStructuredMatrices) {
-  PrimeField F(101);
+  PrimeField F;
   Matrix Z(3, 3);
   EXPECT_EQ(matrix_rank(F, Z), 0u);
   Matrix I(3, 3);
@@ -118,7 +118,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST_P(BerlekampWelchTest, RecoversUnderMaximalCorruption) {
   const auto [degree, points, errors] = GetParam();
-  PrimeField F(2305843009213693951ULL);
+  PrimeField F;
   Rng rng(static_cast<std::uint64_t>(degree * 1000 + points * 10 + errors));
   for (int trial = 0; trial < 20; ++trial) {
     Poly truth = Poly::random(F, degree, rng);
@@ -143,7 +143,7 @@ TEST_P(BerlekampWelchTest, RecoversUnderMaximalCorruption) {
 }
 
 TEST(BerlekampWelch, CleanPointsDecodeWithZeroErrors) {
-  PrimeField F(101);
+  PrimeField F;
   Poly truth({7, 3, 1});
   std::vector<RsPoint> pts;
   for (std::uint64_t x = 1; x <= 6; ++x) pts.push_back({x, truth.eval(F, x)});
@@ -153,7 +153,7 @@ TEST(BerlekampWelch, CleanPointsDecodeWithZeroErrors) {
 }
 
 TEST(BerlekampWelch, TooFewPointsFails) {
-  PrimeField F(101);
+  PrimeField F;
   std::vector<RsPoint> pts = {{1, 5}, {2, 7}};
   EXPECT_FALSE(berlekamp_welch(F, pts, 2, 0).has_value());
 }
@@ -162,7 +162,7 @@ TEST(BerlekampWelch, BeyondBudgetCorruptionIsNotSilentlyWrong) {
   // With errors above the correctable bound the decoder may fail, but if
   // it returns a polynomial it must disagree with at most max_errors
   // points (i.e. it never fabricates an inconsistent answer).
-  PrimeField F(2305843009213693951ULL);
+  PrimeField F;
   Rng rng(99);
   Poly truth = Poly::random(F, 2, rng);
   std::vector<RsPoint> pts;
@@ -175,7 +175,7 @@ TEST(BerlekampWelch, BeyondBudgetCorruptionIsNotSilentlyWrong) {
 }
 
 TEST(BerlekampWelch, CountDisagreements) {
-  PrimeField F(101);
+  PrimeField F;
   Poly p({1, 1});  // 1 + x
   std::vector<RsPoint> pts = {{1, 2}, {2, 3}, {3, 5}};
   EXPECT_EQ(count_disagreements(F, p, pts), 1);

@@ -296,14 +296,12 @@ TEST(Bytes, U64VecFlatOverloadMatchesVectorOverload) {
 // round-trip property tests: the masked codec must carry exactly the same
 // logical vector (sentinels included), only in fewer bytes.
 std::vector<std::uint64_t> masked_round_trip(
-    const std::vector<std::uint64_t>& v, std::uint64_t absent,
-    unsigned value_bits) {
+    const std::vector<std::uint64_t>& v, std::uint64_t absent) {
   ByteWriter w;
-  w.masked_u64_vec(v.data(), v.size(), absent, value_bits);
+  w.masked_u64_vec(v.data(), v.size(), absent);
   ByteReader r(w.data());
   std::vector<std::uint64_t> out(v.size(), ~std::uint64_t{0});
-  EXPECT_TRUE(r.masked_u64_vec_into(out.data(), out.size(), absent,
-                                    value_bits));
+  EXPECT_TRUE(r.masked_u64_vec_into(out.data(), out.size(), absent));
   EXPECT_TRUE(r.at_end());
   return out;
 }
@@ -311,9 +309,9 @@ std::vector<std::uint64_t> masked_round_trip(
 TEST(MaskedCodec, RoundTripPropertyVsPlainReference) {
   Rng rng(71);
   const std::uint64_t absent = (std::uint64_t{1} << 61) - 1;  // 2^61 - 1
-  for (unsigned value_bits : {61u, 64u, 13u, 1u}) {
-    const std::uint64_t value_bound =
-        value_bits >= 61 ? absent : (std::uint64_t{1} << value_bits);
+  // Full-width values plus narrow ones, whose high bits are all zero.
+  for (std::uint64_t value_bound :
+       {absent, std::uint64_t{1} << 13, std::uint64_t{2}}) {
     for (int iter = 0; iter < 50; ++iter) {
       const std::size_t len = rng.next_below(40);
       std::vector<std::uint64_t> v(len);
@@ -328,16 +326,12 @@ TEST(MaskedCodec, RoundTripPropertyVsPlainReference) {
       std::vector<std::uint64_t> ref(64);
       const std::size_t ref_n = pr.u64_vec_into(ref.data(), 64);
       ref.resize(ref_n);
-      EXPECT_EQ(masked_round_trip(v, absent, value_bits), ref);
-      // And in fewer bytes whenever values pack below 64 bits: absent
-      // entries cost 1 bit instead of value_bits, and sub-64-bit values
-      // pack tighter than the plain format even when all are present. (At
-      // value_bits = 64 an all-present vector longer than 32 can spend
-      // more on mask bytes than the dropped length prefix, so no strict
-      // inequality holds there.)
+      EXPECT_EQ(masked_round_trip(v, absent), ref);
+      // And in fewer bytes: absent entries cost 1 bit instead of 61, and
+      // present ones 61 bits instead of 64.
       ByteWriter masked;
-      masked.masked_u64_vec(v.data(), v.size(), absent, value_bits);
-      if (len > 0 && value_bits < 64) {
+      masked.masked_u64_vec(v.data(), v.size(), absent);
+      if (len > 0) {
         EXPECT_LT(masked.size(), plain.size());
       }
     }
@@ -346,10 +340,10 @@ TEST(MaskedCodec, RoundTripPropertyVsPlainReference) {
 
 TEST(MaskedCodec, EmptyVectorIsZeroBytes) {
   ByteWriter w;
-  w.masked_u64_vec(nullptr, 0, 7, 61);
+  w.masked_u64_vec(nullptr, 0, 7);
   EXPECT_EQ(w.size(), 0u);
   ByteReader r(w.data());
-  EXPECT_TRUE(r.masked_u64_vec_into(nullptr, 0, 7, 61));
+  EXPECT_TRUE(r.masked_u64_vec_into(nullptr, 0, 7));
   EXPECT_TRUE(r.at_end());
 }
 
@@ -358,7 +352,7 @@ TEST(MaskedCodec, TruncatedMaskRejected) {
   w.u8(0xff);  // 13-entry vector needs 2 mask bytes; provide 1
   ByteReader r(w.data());
   std::vector<std::uint64_t> dst(13, 42);
-  EXPECT_FALSE(r.masked_u64_vec_into(dst.data(), 13, 0, 61));
+  EXPECT_FALSE(r.masked_u64_vec_into(dst.data(), 13, 0));
   EXPECT_FALSE(r.ok());
   for (auto x : dst) EXPECT_EQ(x, 42u);  // dst untouched on failure
 }
@@ -369,7 +363,7 @@ TEST(MaskedCodec, TruncatedPackedTailRejected) {
   w.u64(1);    // only 8 provided
   ByteReader r(w.data());
   std::vector<std::uint64_t> dst(8, 42);
-  EXPECT_FALSE(r.masked_u64_vec_into(dst.data(), 8, 0, 61));
+  EXPECT_FALSE(r.masked_u64_vec_into(dst.data(), 8, 0));
   EXPECT_FALSE(r.ok());
   for (auto x : dst) EXPECT_EQ(x, 42u);
 }
@@ -380,11 +374,11 @@ TEST(MaskedCodec, OverlongTailFailsAtEnd) {
   // payload, exactly like trailing garbage after a u64_vec.
   std::vector<std::uint64_t> v{5, 6};
   ByteWriter w;
-  w.masked_u64_vec(v.data(), v.size(), 7, 61);
+  w.masked_u64_vec(v.data(), v.size(), 7);
   w.u8(0xcc);
   ByteReader r(w.data());
   std::vector<std::uint64_t> dst(2);
-  EXPECT_TRUE(r.masked_u64_vec_into(dst.data(), 2, 7, 61));
+  EXPECT_TRUE(r.masked_u64_vec_into(dst.data(), 2, 7));
   EXPECT_TRUE(r.ok());
   EXPECT_FALSE(r.at_end());
 }
@@ -394,7 +388,7 @@ TEST(MaskedCodec, MaskBitsBeyondLengthRejected) {
   w.u8(0xff);  // 5-entry vector: bits 5..7 must be zero
   ByteReader r(w.data());
   std::vector<std::uint64_t> dst(5, 42);
-  EXPECT_FALSE(r.masked_u64_vec_into(dst.data(), 5, 0, 61));
+  EXPECT_FALSE(r.masked_u64_vec_into(dst.data(), 5, 0));
   EXPECT_FALSE(r.ok());
   for (auto x : dst) EXPECT_EQ(x, 42u);
 }
@@ -407,7 +401,7 @@ TEST(MaskedCodec, NonzeroPaddingBitsRejected) {
   w.u64((std::uint64_t{1} << 61) | 123);  // bit 61 is padding
   ByteReader r(w.data());
   std::vector<std::uint64_t> dst(1, 42);
-  EXPECT_FALSE(r.masked_u64_vec_into(dst.data(), 1, 0, 61));
+  EXPECT_FALSE(r.masked_u64_vec_into(dst.data(), 1, 0));
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(dst[0], 42u);
 }
@@ -423,35 +417,35 @@ TEST(MaskedCodec, SentinelSmugglingDecodesToTheSentinel) {
   w.u64(sentinel);  // 61 value bits + 3 zero padding bits = 8 bytes
   ByteReader r(w.data());
   std::vector<std::uint64_t> dst(1, 0);
-  EXPECT_TRUE(r.masked_u64_vec_into(dst.data(), 1, sentinel, 61));
+  EXPECT_TRUE(r.masked_u64_vec_into(dst.data(), 1, sentinel));
   EXPECT_TRUE(r.at_end());
   EXPECT_EQ(dst[0], sentinel);
 }
 
-TEST(MaskedCodec, WriterRejectsValuesWiderThanValueBits) {
-  const std::uint64_t v = std::uint64_t{1} << 13;
+TEST(MaskedCodec, WriterRejectsValuesWiderThan61Bits) {
   ByteWriter w;
-  EXPECT_THROW(w.masked_u64_vec(&v, 1, 0, 13), contract_error);
-  EXPECT_THROW(w.masked_u64_vec(&v, 1, 0, 0), contract_error);
-  EXPECT_THROW(w.masked_u64_vec(&v, 1, 0, 65), contract_error);
+  for (const std::uint64_t v :
+       {std::uint64_t{1} << 61, ~std::uint64_t{0}, std::uint64_t{1} << 63}) {
+    EXPECT_THROW(w.masked_u64_vec(&v, 1, 0), contract_error) << v;
+  }
 }
 
-TEST(MaskedCodec, SixtyFourBitValuesSupported) {
-  std::vector<std::uint64_t> v{~std::uint64_t{0} - 1, 3,
-                               ~std::uint64_t{0} - 1};
-  EXPECT_EQ(masked_round_trip(v, 3, 64),
-            (std::vector<std::uint64_t>{~std::uint64_t{0} - 1, 3,
-                                        ~std::uint64_t{0} - 1}));
+TEST(MaskedCodec, FullWidthValuesSupported) {
+  // The widest legal value (all 61 bits set) next to an absent entry; the
+  // absent marker need not be the field sentinel.
+  const std::uint64_t top = (std::uint64_t{1} << 61) - 1;
+  std::vector<std::uint64_t> v{top, 3, top - 1};
+  EXPECT_EQ(masked_round_trip(v, 3), v);
 }
 
 // --- 61-bit block kernels behind the masked codec -------------------------
 //
-// At value_bits = 61 full runs of 8 present values travel through the bulk
-// block packer in support/bitpack61.h. The wire layout is defined by the
-// scalar bit-window, so these tests pin (a) the block kernels against a
+// Every packed value travels through the block packer in support/bitpack61.h:
+// full runs of 8 present values as 61-byte blocks, the sub-block tail as one
+// zero-padded block. These tests pin (a) the block kernels against a
 // bit-by-bit reference, vector backend against the portable one, and (b)
-// the full codec against itself across every mask shape that straddles the
-// block boundary — wire bytes must be identical no matter which path ran.
+// the full codec against the same bit-by-bit layout and against itself
+// across every mask shape that straddles the block boundary.
 
 TEST(Bitpack61, BlockMatchesBitByBitReference) {
   Rng rng(611);
@@ -500,8 +494,8 @@ TEST(Bitpack61, DispatchedKernelsMatchPortable) {
 
 TEST(MaskedCodec, BlockPathMaskShapesRoundTrip) {
   // Lengths and masks chosen to hit: all-present multi-block runs, a
-  // sub-block tail (present % 8 != 0), alternating masks (block path never
-  // engages), all-absent, and single-value slack around the 8-value
+  // sub-block tail (present % 8 != 0), alternating masks (tail only for
+  // short vectors), all-absent, and single-value slack around the 8-value
   // threshold.
   Rng rng(613);
   const std::uint64_t absent = (std::uint64_t{1} << 61) - 1;
@@ -517,43 +511,52 @@ TEST(MaskedCodec, BlockPathMaskShapesRoundTrip) {
                                           : !rng.next_bernoulli(0.25);
         v[i] = present ? rng.next_u64() % absent : absent;
       }
-      EXPECT_EQ(masked_round_trip(v, absent, 61), v)
+      EXPECT_EQ(masked_round_trip(v, absent), v)
           << "len=" << len << " shape=" << shape;
     }
   }
 }
 
-TEST(MaskedCodec, BlockAndWindowEncodersAgreeByteForByte) {
-  // Force the scalar window by using value_bits = 60 (no block path) on
-  // 61-bit-shaped data... that changes the wire format, so instead compare
-  // the 61-bit encoding of an all-present vector against an independent
-  // bit-by-bit packer: every byte must match the layout contract.
+TEST(MaskedCodec, EncoderMatchesBitByBitLayout) {
+  // Every length through two full blocks plus a tail, with random masks:
+  // mask bytes and packed bytes must match an independent bit-by-bit
+  // encoder of the layout contract in support/bytes.h.
   Rng rng(614);
   const std::uint64_t mask61 = (std::uint64_t{1} << 61) - 1;
-  const std::size_t len = 19;  // 2 full blocks + 3-value tail
-  std::vector<std::uint64_t> v(len);
-  for (auto& x : v) x = rng.next_u64() & (mask61 - 1);  // never the sentinel
-  ByteWriter w;
-  w.masked_u64_vec(v.data(), len, mask61, 61);
-  const std::size_t mask_bytes = (len + 7) / 8;
-  const std::size_t packed_bytes = (len * 61 + 7) / 8;
-  ASSERT_EQ(w.size(), mask_bytes + packed_bytes);
-  std::vector<std::uint8_t> want(packed_bytes, 0);
-  for (std::size_t k = 0; k < len; ++k) {
-    for (int b = 0; b < 61; ++b) {
-      const std::size_t bit = 61 * k + b;
-      if ((v[k] >> b) & 1) want[bit / 8] |= std::uint8_t(1u << (bit % 8));
+  for (std::size_t len = 0; len <= 40; ++len) {
+    std::vector<std::uint64_t> v(len);
+    std::vector<std::uint8_t> want((len + 7) / 8, 0);
+    std::size_t present = 0;
+    for (std::size_t i = 0; i < len; ++i) {
+      if (rng.next_bernoulli(0.2)) {
+        v[i] = mask61;  // the absent marker
+        continue;
+      }
+      v[i] = rng.next_u64() & (mask61 - 1);  // never the absent marker
+      want[i / 8] |= std::uint8_t(1u << (i % 8));
+      ++present;
     }
+    const std::size_t mask_bytes = want.size();
+    want.resize(mask_bytes + (present * 61 + 7) / 8, 0);
+    std::size_t k = 0;
+    for (std::size_t i = 0; i < len; ++i) {
+      if (v[i] == mask61) continue;
+      for (int b = 0; b < 61; ++b) {
+        const std::size_t bit = 8 * mask_bytes + 61 * k + b;
+        if ((v[i] >> b) & 1) want[bit / 8] |= std::uint8_t(1u << (bit % 8));
+      }
+      ++k;
+    }
+    ByteWriter w;
+    w.masked_u64_vec(v.data(), len, mask61);
+    ASSERT_EQ(w.data(), want) << "len=" << len;
   }
-  ASSERT_EQ(std::memcmp(w.data().data() + mask_bytes, want.data(),
-                        packed_bytes),
-            0);
 }
 
 TEST(MaskedCodec, BlockPathSentinelSmuggling) {
-  // Same Byzantine trick as SentinelSmugglingDecodesToTheSentinel but with
-  // enough present values (>= 8) that the bulk decode path runs: a packed
-  // sentinel must still come out as exactly the sentinel.
+  // Same Byzantine trick as SentinelSmugglingDecodesToTheSentinel but in a
+  // full block rather than the tail: a packed sentinel must still come out
+  // as exactly the sentinel.
   const std::uint64_t sentinel = (std::uint64_t{1} << 61) - 1;
   std::uint64_t block[8] = {1, 2, sentinel, 4, 5, sentinel, 7, 8};
   ByteWriter w;
@@ -563,21 +566,21 @@ TEST(MaskedCodec, BlockPathSentinelSmuggling) {
   for (auto byte : packed) w.u8(byte);
   ByteReader r(w.data());
   std::vector<std::uint64_t> dst(8, 0);
-  EXPECT_TRUE(r.masked_u64_vec_into(dst.data(), 8, sentinel, 61));
+  EXPECT_TRUE(r.masked_u64_vec_into(dst.data(), 8, sentinel));
   EXPECT_TRUE(r.at_end());
   for (int k = 0; k < 8; ++k) EXPECT_EQ(dst[k], block[k]);
 }
 
 TEST(MaskedCodec, BlockPathStrictnessPreserved) {
-  // The bulk path shares the window path's failure checks; a truncated
-  // packed region under an all-present 16-entry mask must still latch.
+  // A truncated packed region under an all-present 16-entry mask (one
+  // whole block present, the second missing) must latch.
   ByteWriter w;
   w.u8(0xff);
   w.u8(0xff);  // 16 present -> needs 122 bytes; provide 61
   for (int i = 0; i < 61; ++i) w.u8(0xaa);
   ByteReader r(w.data());
   std::vector<std::uint64_t> dst(16, 42);
-  EXPECT_FALSE(r.masked_u64_vec_into(dst.data(), 16, 0, 61));
+  EXPECT_FALSE(r.masked_u64_vec_into(dst.data(), 16, 0));
   EXPECT_FALSE(r.ok());
   for (auto x : dst) EXPECT_EQ(x, 42u);
 }
