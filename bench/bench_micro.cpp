@@ -81,32 +81,39 @@ void BM_FieldKernels_BatchInv(benchmark::State& state) {
 }
 BENCHMARK(BM_FieldKernels_BatchInv)->Arg(16)->Arg(256);
 
-void BM_FieldKernels_EvalMany(benchmark::State& state) {
+void BM_FieldKernels_MatMul(benchmark::State& state) {
+  // The FM coin's three products at committee size n, f = (n-1)/3 (the
+  // operands' values do not affect the time):
+  //   shape 0, deal send:    powers (n x (f+1)) * C ((f+1) x (f+1));
+  //   shape 1, deal receive: R (n x (f+1)) * vander ((f+1) x n);
+  //   shape 2, recover:      T_S ((n-2f) x (f+1)) * Y ((f+1) x n), the
+  //                          steady state with the f faulty senders silent.
   PrimeField F;
   Rng rng(23);
-  const auto deg = static_cast<int>(state.range(0));
-  const auto m = static_cast<std::size_t>(state.range(1));
-  Poly p = Poly::random(F, deg, rng);
-  std::vector<std::uint64_t> xs(m), out(m);
-  for (auto& x : xs) x = F.uniform(rng);
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const std::size_t f = (n - 1) / 3;
+  const std::size_t w = f + 1;
+  const std::size_t rows = state.range(1) == 2 ? n - 2 * f : n;
+  const std::size_t cols = state.range(1) == 0 ? w : n;
+  std::vector<std::uint64_t> a(rows * w), b(w * cols), c(rows * cols);
+  for (auto& v : a) v = F.uniform(rng);
+  for (auto& v : b) v = F.uniform(rng);
   for (auto _ : state) {
-    F.eval_many(p.coeffs().data(), p.coeffs().size(), xs.data(), m,
-                out.data());
-    benchmark::DoNotOptimize(out.data());
+    F.matmul(rows, w, cols, a.data(), w, b.data(), cols, c.data(), cols);
+    benchmark::DoNotOptimize(c.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(m));
+                          static_cast<std::int64_t>(rows * w * cols));
 }
-BENCHMARK(BM_FieldKernels_EvalMany)
-    ->ArgNames({"deg", "pts"})
-    ->Args({2, 16})->Args({4, 64})->Args({8, 64});
+BENCHMARK(BM_FieldKernels_MatMul)
+    ->ArgNames({"n", "shape"})
+    ->ArgsProduct({{32, 64, 128}, {0, 1, 2}});
 
 // --- Wide-shape kernel benchmarks ------------------------------------------
 //
-// The large-n scaling grid's shapes: length-n vectors and (f+1)-degree
-// row evaluations at n points for n up to 128, the loops the runtime-
-// dispatched SIMD backends target. Rerun against a -DSSBFT_SIMD=off build
+// The large-n scaling grid's shapes: length-n vectors for n up to 128, the
+// loops the runtime-dispatched SIMD backends target. Rerun against a -DSSBFT_SIMD=off build
 // for the scalar reference on identical inputs.
 
 void BM_FieldKernelsWide_MulVec(benchmark::State& state) {
@@ -127,28 +134,6 @@ void BM_FieldKernelsWide_MulVec(benchmark::State& state) {
                           static_cast<std::int64_t>(len));
 }
 BENCHMARK(BM_FieldKernelsWide_MulVec)->ArgName("n")->Arg(32)->Arg(128);
-
-void BM_FieldKernelsWide_EvalMany(benchmark::State& state) {
-  // One dealing-row evaluation at every node point: degree f = (n-1)/3,
-  // n points — recv_deal runs n of these per beat per node.
-  PrimeField F;
-  Rng rng(32);
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const std::size_t f = (n - 1) / 3;
-  Poly p = Poly::random(F, static_cast<int>(f), rng);
-  std::vector<std::uint64_t> xs(n), out(n);
-  for (auto& x : xs) x = F.uniform(rng);
-  for (auto _ : state) {
-    F.eval_many(p.coeffs().data(), p.coeffs().size(), xs.data(), n,
-                out.data());
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_FieldKernelsWide_EvalMany)->ArgName("n")->Arg(32)->Arg(64)
-    ->Arg(128);
 
 void BM_FieldKernelsWide_BatchInv(benchmark::State& state) {
   PrimeField F;

@@ -16,21 +16,17 @@ constexpr std::uint64_t kSentinel = PrimeField::kPrime;
 
 }  // namespace
 
-void FmCoinScratch::ensure(const PrimeField& F, std::uint32_t n_nodes,
-                           std::uint32_t faults) {
+void FmCoinScratch::ensure(std::uint32_t n_nodes, std::uint32_t faults) {
   if (n == n_nodes && f == faults) return;
   n = n_nodes;
   f = faults;
-  points.resize(n);
-  for (NodeId j = 0; j < n; ++j) points[j] = node_point(j);
-  row_buf.assign(std::size_t{f} + 1, 0);
+  tables = coin_tables(n, f);
   vals.assign(n, 0);
   shares.assign(std::size_t{n} * n, 0);
   shares_ok.assign(n, 0);
   votes.assign(n, 0);
-  pts.clear();
-  pts.reserve(n);
-  table.init(F, n, f);
+  secrets.assign(n, std::nullopt);
+  recover.ensure(n, f);
 }
 
 FmCoinInstance::FmCoinInstance(const ProtocolEnv& env,
@@ -49,7 +45,7 @@ FmCoinInstance::FmCoinInstance(const ProtocolEnv& env,
       voted_words_(std::size_t{env.n} * words_, 0),
       vote_valid_(env.n, 0),
       grades_(env.n, GvssGrade::kNone) {
-  scratch_->ensure(field_, env_.n, env_.f);
+  scratch_->ensure(env_.n, env_.f);
 }
 
 void FmCoinInstance::reinit(Rng rng) {
@@ -93,10 +89,12 @@ void FmCoinInstance::receive_round(int round, const Inbox& in,
 // the packed value width and the dropped length prefix.
 void FmCoinInstance::send_deal(Outbox& out, ChannelId ch) {
   const std::size_t width = std::size_t{env_.f} + 1;
+  std::uint64_t* rows = scratch_->shares.data();
+  dealing_.bivariate().rows_into(field_, scratch_->tables->powers.data(),
+                                 env_.n, rows);
   for (NodeId j = 0; j < env_.n; ++j) {
-    dealing_.row_into(field_, j, scratch_->row_buf.data());
     ByteWriter& w = out.writer();
-    w.masked_u64_vec(scratch_->row_buf.data(), width, kSentinel);
+    w.masked_u64_vec(rows + j * width, width, kSentinel);
     out.send(j, ch, w.data());
   }
 }
@@ -107,24 +105,39 @@ void FmCoinInstance::recv_deal(const Inbox& in, ChannelId ch) {
   for (NodeId d = 0; d < env_.n; ++d) {
     row_valid_[d] = 0;
     if (payloads[d] == nullptr) continue;
+    std::uint64_t* row = scratch_->shares.data() + d * width;
     ByteReader r(*payloads[d]);
     // Masked-out coefficients decode to the sentinel, which
     // validate_row_raw rejects as non-canonical — a Byzantine dealer gains
     // nothing by masking.
-    if (!r.masked_u64_vec_into(scratch_->row_buf.data(), width, kSentinel) ||
-        !r.at_end()) {
+    if (!r.masked_u64_vec_into(row, width, kSentinel) || !r.at_end()) {
       continue;
     }
-    if (!validate_row_raw(field_, env_.f, scratch_->row_buf.data(), width)) {
-      continue;
-    }
+    if (!validate_row_raw(field_, env_.f, row, width)) continue;
     row_valid_[d] = 1;
-    // The one evaluation pass per dealing: rounds 2-4 read these values
-    // instead of re-walking the row polynomial.
-    field_.eval_many(scratch_->row_buf.data(), width, scratch_->points.data(),
-                     env_.n, &eval_at_node(d, 0));
-    eval_at_zero(d) = scratch_->row_buf[0];
   }
+  eval_rows();
+}
+
+void FmCoinInstance::eval_rows() {
+  // The one evaluation pass per dealing: rounds 2-4 read these values
+  // instead of re-walking the row polynomials. One product covers the span
+  // of valid dealers (steady state: the correct ones, which carry the
+  // lowest ids). An invalid row inside the span holds stale or rejected
+  // values, all below 2^61 as the kernel requires; its evaluations are
+  // never read.
+  const std::size_t width = std::size_t{env_.f} + 1;
+  std::size_t lo = env_.n, hi = 0;
+  for (NodeId d = 0; d < env_.n; ++d) {
+    if (!row_valid_[d]) continue;
+    lo = std::min<std::size_t>(lo, d);
+    hi = d + 1;
+    eval_at_zero(d) = scratch_->shares[d * width];
+  }
+  if (lo >= hi) return;
+  field_.matmul(hi - lo, width, env_.n, scratch_->shares.data() + lo * width,
+                width, scratch_->tables->vander.data(), env_.n,
+                &eval_at_node(static_cast<NodeId>(lo), 0), env_.n + 1);
 }
 
 // Round 2 — cross-check: send node j, for every dealer d, my row's value
@@ -205,9 +218,13 @@ void FmCoinInstance::send_shares(Outbox& out, ChannelId ch) {
 void FmCoinInstance::recv_shares(const Inbox& in, ChannelId ch) {
   const auto payloads = in.first_per_sender(ch);
   // Decode every sender's share vector once, into the shared flat matrix.
+  // Only shares from nodes that *voted happy* on a dealing count for it: a
+  // correct happy voter's row is consistent with the unique dealt
+  // polynomial, so lies among these points come only from Byzantine
+  // senders (<= f), within the Berlekamp-Welch budget.
   for (NodeId j = 0; j < env_.n; ++j) {
     scratch_->shares_ok[j] = 0;
-    if (payloads[j] == nullptr) continue;
+    if (payloads[j] == nullptr || !vote_valid_[j]) continue;
     ByteReader r(*payloads[j]);
     if (!r.masked_u64_vec_into(
             scratch_->shares.data() + std::size_t{j} * env_.n, env_.n,
@@ -217,29 +234,16 @@ void FmCoinInstance::recv_shares(const Inbox& in, ChannelId ch) {
     }
     scratch_->shares_ok[j] = 1;
   }
+  gvss_recover_all(field_, env_.n, env_.f, scratch_->shares.data(),
+                   scratch_->shares_ok.data(), voted_words_.data(), words_,
+                   grades_.data(), &scratch_->tables->recover,
+                   scratch_->recover, scratch_->secrets.data());
+  // Unrecoverable dealings (necessarily from a faulty dealer) contribute
+  // the canonical value 0, identically at every node that fails.
   std::uint64_t sum = 0;
   for (NodeId d = 0; d < env_.n; ++d) {
     if (grades_[d] == GvssGrade::kNone) continue;
-    // Only shares from nodes that *voted happy* on d count: a correct happy
-    // voter's row is consistent with the unique dealt polynomial, so lies
-    // among these points come only from Byzantine senders (<= f), within
-    // the Berlekamp-Welch budget.
-    scratch_->pts.clear();
-    for (NodeId j = 0; j < env_.n; ++j) {
-      if (!scratch_->shares_ok[j] || !vote_valid_[j]) continue;
-      if (!bitword_get(voted_words_.data() + std::size_t{j} * words_, d)) {
-        continue;
-      }
-      const std::uint64_t y = scratch_->shares[std::size_t{j} * env_.n + d];
-      if (!field_.valid(y)) continue;
-      scratch_->pts.push_back(RsPoint{node_point(j), y});
-    }
-    // Unrecoverable dealings (necessarily from a faulty dealer) contribute
-    // the canonical value 0, identically at every node that fails.
-    const std::uint64_t s_d =
-        gvss_recover(field_, env_.f, scratch_->pts, &scratch_->table)
-            .value_or(0);
-    sum = field_.add(sum, s_d);
+    sum = field_.add(sum, scratch_->secrets[d].value_or(0));
   }
   output_bit_ = (sum & 1) != 0;
 }
@@ -253,14 +257,11 @@ void FmCoinInstance::randomize_state(Rng& rng) {
   const std::size_t width = std::size_t{env_.f} + 1;
   for (NodeId d = 0; d < env_.n; ++d) {
     if (rng.next_bool()) {
-      // A random-but-consistent degree-f row, like a fresh Poly::random.
-      for (std::size_t i = 0; i < width; ++i) {
-        scratch_->row_buf[i] = field_.uniform(rng);
-      }
+      // A random-but-consistent degree-f row, like a fresh Poly::random;
+      // eval_rows() below evaluates all of them (it draws nothing).
+      std::uint64_t* row = scratch_->shares.data() + d * width;
+      for (std::size_t i = 0; i < width; ++i) row[i] = field_.uniform(rng);
       row_valid_[d] = 1;
-      field_.eval_many(scratch_->row_buf.data(), width,
-                       scratch_->points.data(), env_.n, &eval_at_node(d, 0));
-      eval_at_zero(d) = scratch_->row_buf[0];
     } else {
       row_valid_[d] = 0;
     }
@@ -272,6 +273,7 @@ void FmCoinInstance::randomize_state(Rng& rng) {
     for (NodeId j = 0; j < env_.n; ++j) bitword_set(row, j, rng.next_bool());
     vote_valid_[d] = 1;
   }
+  eval_rows();
   output_bit_ = rng.next_bool();
 }
 

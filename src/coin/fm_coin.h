@@ -45,10 +45,17 @@
 //
 // Hot-path layout
 // ---------------
-// All per-dealer state is flat uint64 storage: each received row is
-// validated once and immediately evaluated at every node point (one
-// eval_many pass per dealing feeds rounds 2-4, replacing repeated Horner
-// walks), vote masks are bit-packed words (support/bitwords.h), and every
+// All per-dealer state is flat uint64 storage, and the three arithmetic
+// loops are one matrix product each over the (n, f) tables of
+// coin_tables() (coin/gvss.h), shared process-wide:
+//   * deal send: the rows for all n nodes are powers * C, C the dealing's
+//     coefficient matrix;
+//   * deal receive: every received row is decoded and validated, then all
+//     are evaluated at every node point at once as R * vander, straight
+//     into the n x (n+1) row_evals_ table that rounds 2-4 read;
+//   * recover: the dealings whose shares come from the common sender set
+//     are checked and recovered together (gvss_recover_all).
+// Vote masks are bit-packed words (support/bitwords.h), and every
 // round-transient buffer lives in an FmCoinScratch shared by the staggered
 // instances of one pipeline — at any beat exactly one instance executes a
 // given round, so round-local scratch never overlaps. Together with the
@@ -58,6 +65,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "coin/coin_interface.h"
@@ -71,24 +79,27 @@ namespace ssbft {
 // spec and instance constructors' parameter slot.
 struct FmCoinParams {};
 
-// Round-transient buffers plus the (n, f) recovery tables, shared by all
+// Round-transient buffers plus the shared (n, f) tables, used by all
 // instances of one coin pipeline (and across beats). Instances built
-// without one allocate a private copy, so standalone use needs no plumbing.
+// without one allocate a private scratch (the tables stay shared), so
+// standalone use needs no plumbing.
 struct FmCoinScratch {
-  // Idempotent per (n, f); rebuilds when the shape changes.
-  void ensure(const PrimeField& F, std::uint32_t n, std::uint32_t f);
+  // Idempotent per (n, f); rebuilds when the shape changes. The one place
+  // the coin looks the tables up, so it happens at construction only.
+  void ensure(std::uint32_t n, std::uint32_t f);
 
   std::uint32_t n = 0;
   std::uint32_t f = 0;
 
-  std::vector<std::uint64_t> points;   // node points 1..n, for eval_many
-  std::vector<std::uint64_t> row_buf;  // f+1 row coefficients (deal codec)
+  std::shared_ptr<const CoinTables> tables;
   std::vector<std::uint64_t> vals;     // n-element payload codec buffer
-  std::vector<std::uint64_t> shares;   // n x n received share matrix
-  std::vector<std::uint8_t> shares_ok; // per sender: decoded cleanly
+  // n x n: the recover round's received share matrix. The deal rounds
+  // stage their n rows (n x (f+1)) in the same storage.
+  std::vector<std::uint64_t> shares;
+  std::vector<std::uint8_t> shares_ok; // per sender: shares and votes decoded
   std::vector<std::uint32_t> votes;    // per dealer: happy-vote tally
-  std::vector<RsPoint> pts;            // recovery point set (capacity n)
-  GvssRecoverTable table;              // steady-state recovery fast path
+  std::vector<std::optional<std::uint64_t>> secrets;  // per dealer
+  GvssRecoverScratch recover;
 };
 
 class FmCoinInstance final : public CoinInstance {
@@ -118,6 +129,9 @@ class FmCoinInstance final : public CoinInstance {
   void recv_cross(const Inbox& in, ChannelId ch);
   void recv_votes(const Inbox& in, ChannelId ch);
   void recv_shares(const Inbox& in, ChannelId ch);
+  // Evaluates the valid dealers' rows, staged in the scratch, at every node
+  // point, into row_evals_.
+  void eval_rows();
 
   // row_evals_ accessors: dealer d's row evaluated at 0 / at node_point(j).
   std::uint64_t& eval_at_zero(NodeId d) {

@@ -24,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -62,16 +63,16 @@ bool gvss_happy(std::uint32_t n, std::uint32_t f, bool row_valid,
 GvssGrade gvss_grade(std::uint32_t n, std::uint32_t f, std::uint32_t votes);
 
 // Precomputed Lagrange tables for the recovery fast path over the fixed
-// node points 1..n, cached per (n, f) — typically one per coin
-// pipeline, shared by its staggered instances and reused beat after beat.
+// node points 1..n. Immutable once built; the coin shares one per (n, f)
+// process-wide through coin_tables().
 //
 // The tables carry, for the canonical prefix subset {node_point(0..f)} =
 // {1..f+1}, the basis coefficients L_i(x) of the degree-f interpolant at
 // every other node point and at 0. When the first f+1 shares handed to
 // gvss_recover are exactly that prefix (the steady state: correct low-id
-// senders are present every beat), candidate evaluation is a table/share
-// dot product — no inversion, no allocation. Other subsets fall back to a
-// generic batch-inverted path.
+// senders are present every beat), candidate evaluation is a table-row
+// times share-vector product — no inversion, no allocation. Other subsets
+// fall back to a generic batch-inverted path.
 class GvssRecoverTable {
  public:
   GvssRecoverTable() = default;
@@ -87,23 +88,18 @@ class GvssRecoverTable {
   std::uint32_t f() const { return f_; }
 
   // L_i(0) for i <= f (f+1 entries).
-  const std::uint64_t* zero_row() const { return zero_row_.data(); }
-  // L_i(point) for point in [f+2, n]: row (point - f - 2), f+1 entries.
+  const std::uint64_t* zero_row() const { return rows_.data(); }
+  // L_i(point) for point in [f+2, n], f+1 entries. Consecutive points have
+  // consecutive rows, so the rows of a run of points form one row-major
+  // matrix.
   const std::uint64_t* target_row(std::uint64_t point) const {
-    return target_rows_.data() +
-           static_cast<std::size_t>(point - f_ - 2) * (f_ + 1);
+    return rows_.data() + static_cast<std::size_t>(point - f_ - 1) * (f_ + 1);
   }
-  // Staging buffer (f+1 entries) for the fast path: shares arrive as AoS
-  // RsPoints, the dot kernel wants flat values. gvss_recover fills it per
-  // call; sized at init so the steady state allocates nothing.
-  std::uint64_t* ys_scratch() const { return ys_scratch_.data(); }
 
  private:
   std::uint32_t n_ = 0;
   std::uint32_t f_ = 0;
-  std::vector<std::uint64_t> zero_row_;
-  std::vector<std::uint64_t> target_rows_;  // (n - f - 1) rows x (f+1)
-  mutable std::vector<std::uint64_t> ys_scratch_;  // f+1
+  std::vector<std::uint64_t> rows_;  // (n - f) rows x (f+1): L(0), L(f+2..n)
 };
 
 // Recovers the dealt secret g(0) from shares g(node_point(j)) where
@@ -116,11 +112,73 @@ class GvssRecoverTable {
 //
 // When `table` is provided (ready, same f) and the shares' first f+1
 // x's are the canonical prefix 1..f+1, the fast path runs entirely out of
-// the precomputed tables and allocates nothing. All paths compute the same
-// field elements, so results are bit-identical with or without a table.
+// the precomputed tables, staging the prefix values in `ys_scratch` (f+1
+// entries of caller storage, required with a table), and allocates
+// nothing. All paths compute the same field elements, so results are
+// bit-identical with or without a table.
 std::optional<std::uint64_t> gvss_recover(const PrimeField& F, std::uint32_t f,
                                           const std::vector<RsPoint>& shares,
-                                          const GvssRecoverTable* table = nullptr);
+                                          const GvssRecoverTable* table = nullptr,
+                                          std::uint64_t* ys_scratch = nullptr);
+
+// The immutable (n, f) tables of the coin's three matrix products over the
+// node points x_j = node_point(j) = j + 1:
+//   * deal send: every node's row = powers * C, C the dealing's
+//     coefficients (SymmetricBivariate::rows_into);
+//   * deal receive: every received row at every node point = R * vander;
+//   * recover: checks and secrets = T_S * Y, T_S from `recover`'s Lagrange
+//     rows (gvss_recover_all).
+struct CoinTables {
+  CoinTables(const PrimeField& F, std::uint32_t n, std::uint32_t f);
+
+  std::uint32_t n;
+  std::uint32_t f;
+  std::vector<std::uint64_t> powers;  // n x (f+1): powers[j][i] = x_j^i
+  std::vector<std::uint64_t> vander;  // (f+1) x n: vander[k][j] = x_j^k
+  GvssRecoverTable recover;
+};
+
+// The process-wide CoinTables for (n, f), built on first request and shared
+// by every caller after that (one object per (n, f) for the life of the
+// process). Thread-safe: sweeps build engines on several threads at once.
+std::shared_ptr<const CoinTables> coin_tables(std::uint32_t n, std::uint32_t f);
+
+// Round-transient buffers of gvss_recover_all; ensure() sizes them once per
+// (n, f), so a warm recover round allocates nothing.
+struct GvssRecoverScratch {
+  // Dealers per product: bounds the checks buffer at (n - f) x kCols.
+  static constexpr std::size_t kCols = 16;
+
+  void ensure(std::uint32_t n, std::uint32_t f);
+
+  std::vector<RsPoint> pts;           // one dealing's point set
+  std::vector<std::uint64_t> ys;      // f+1 staged prefix values
+  std::vector<std::uint8_t> batched;  // per dealer: point set == S
+  std::vector<std::uint64_t> checks;  // T_S * Y for kCols dealers
+};
+
+// Recovers every graded dealing of one recover round from a flat share
+// matrix. shares[j*n + d] is sender j's share of dealer d's secret (every
+// entry below 2^61; a non-canonical entry is an absent share). Sender j's
+// share of d counts iff sender_ok[j], bit d of accepts row j (rows of
+// `words` bitwords) is set, and the share is canonical. For every dealer d
+// with grades[d] != kNone, out[d] is exactly gvss_recover(F, f, pts_d,
+// table, ...) for pts_d = the counted shares in sender order; other
+// dealers get nullopt.
+//
+// S is the set of senders with sender_ok. When S holds the prefix 0..f,
+// every dealer whose counted shares come from exactly S is checked and
+// recovered by the product T_S * Y: T_S is the table's zero row and its
+// Lagrange rows of the points past the prefix up to S's highest sender,
+// and Y is rows 0..f of `shares`. Any other dealer, and any whose shares
+// disagree, goes through gvss_recover on its own.
+void gvss_recover_all(const PrimeField& F, std::uint32_t n, std::uint32_t f,
+                      const std::uint64_t* shares,
+                      const std::uint8_t* sender_ok,
+                      const std::uint64_t* accepts, std::size_t words,
+                      const GvssGrade* grades, const GvssRecoverTable* table,
+                      GvssRecoverScratch& scratch,
+                      std::optional<std::uint64_t>* out);
 
 // One dealer's side of the share phase.
 class GvssDealing {
@@ -134,9 +192,6 @@ class GvssDealing {
 
   // Row polynomial for node `to` (degree <= f, f+1 coefficients).
   std::vector<std::uint64_t> row_for(const PrimeField& F, NodeId to) const;
-
-  // Scratch variant: writes the f+1 row coefficients into caller storage.
-  void row_into(const PrimeField& F, NodeId to, std::uint64_t* out) const;
 
   std::uint64_t secret() const { return poly_.secret(); }
   const SymmetricBivariate& bivariate() const { return poly_; }

@@ -42,14 +42,20 @@ void SymmetricBivariate::row_into(const PrimeField& F, std::uint64_t x0,
                                   std::uint64_t* out) const {
   SSBFT_REQUIRE_MSG(deg_ >= 0, "row of an empty bivariate");
   const std::size_t w = static_cast<std::size_t>(deg_) + 1;
-  // f_{x0}(y) = sum_j (sum_i c_ij x0^i) y^j — accumulate per column j, one
-  // coefficient row at a time (the batch kernel runs the column sweep).
-  for (std::size_t j = 0; j < w; ++j) out[j] = 0;
-  std::uint64_t xp = 1;
-  for (std::size_t i = 0; i < w; ++i) {
-    F.addmul_vec(out, c_.data() + i * w, xp, w);
-    xp = F.mul(xp, x0);
+  // f_{x0}(y) = sum_j (sum_i c_ij x0^i) y^j, and by symmetry the inner sum
+  // is coefficient row j evaluated at x0.
+  for (std::size_t j = 0; j < w; ++j) {
+    out[j] = F.horner(c_.data() + j * w, w, x0);
   }
+}
+
+void SymmetricBivariate::rows_into(const PrimeField& F,
+                                   const std::uint64_t* powers,
+                                   std::size_t count,
+                                   std::uint64_t* out) const {
+  SSBFT_REQUIRE_MSG(deg_ >= 0, "row of an empty bivariate");
+  const std::size_t w = static_cast<std::size_t>(deg_) + 1;
+  F.matmul(count, w, w, powers, w, c_.data(), w, out, w);
 }
 
 }  // namespace ssbft

@@ -46,6 +46,13 @@ class SymmetricBivariate {
   void row_into(const PrimeField& F, std::uint64_t x0,
                 std::uint64_t* out) const;
 
+  // Every row at once: row r of `out` (deg+1 coefficients) is the row
+  // polynomial at the point x_r whose powers x_r^0..x_r^deg are row r of
+  // `powers` (count x (deg+1), row-major). Since f_x(y) = sum_i x^i c_i(y),
+  // that is the one matrix product out = powers * C.
+  void rows_into(const PrimeField& F, const std::uint64_t* powers,
+                 std::size_t count, std::uint64_t* out) const;
+
   // The shared secret F(0,0).
   std::uint64_t secret() const { return at(0, 0); }
 

@@ -1,5 +1,7 @@
 #include "field/fp.h"
 
+#include <algorithm>
+
 #include "field/fp_simd.h"
 
 namespace ssbft {
@@ -54,29 +56,64 @@ void PrimeField::submul_vec(std::uint64_t* dst, const std::uint64_t* src,
   m61simd::submul_vec(dst, src, c, len);
 }
 
-void PrimeField::addmul_vec(std::uint64_t* dst, const std::uint64_t* src,
-                            std::uint64_t c, std::size_t len) const {
-  SSBFT_CHECK(c < kPrime);
-  m61simd::addmul_vec(dst, src, c, len);
-}
-
-std::uint64_t PrimeField::dot(const std::uint64_t* a, const std::uint64_t* b,
-                              std::size_t len) const {
-  return m61simd::dot(a, b, len);
+void PrimeField::matmul(std::size_t rows, std::size_t inner, std::size_t cols,
+                        const std::uint64_t* a, std::size_t lda,
+                        const std::uint64_t* b, std::size_t ldb,
+                        std::uint64_t* c, std::size_t ldc) const {
+  using u128 = unsigned __int128;
+  // Entries are at most p = 2^61 - 1 and 64 * p^2 + p < 2^128, so a block
+  // of kLazy products on top of a carried residue cannot overflow.
+  constexpr std::size_t kLazy = 64;
+  for (std::size_t i = 0; i < rows; ++i) {
+    const std::uint64_t* ai = a + i * lda;
+    std::uint64_t* ci = c + i * ldc;
+    std::size_t j = 0;
+    // 1x4 tiles: each A element is loaded once per four outputs, and the
+    // four independent accumulators keep the multiplier busy.
+    for (; j + 4 <= cols; j += 4) {
+      u128 s0 = 0, s1 = 0, s2 = 0, s3 = 0;
+      for (std::size_t l0 = 0; l0 < inner; l0 += kLazy) {
+        const std::size_t l1 = std::min(inner, l0 + kLazy);
+        for (std::size_t l = l0; l < l1; ++l) {
+          const u128 x = ai[l];
+          const std::uint64_t* bl = b + l * ldb + j;
+          s0 += x * bl[0];
+          s1 += x * bl[1];
+          s2 += x * bl[2];
+          s3 += x * bl[3];
+        }
+        s0 = fold128(s0);
+        s1 = fold128(s1);
+        s2 = fold128(s2);
+        s3 = fold128(s3);
+      }
+      ci[j] = static_cast<std::uint64_t>(s0);
+      ci[j + 1] = static_cast<std::uint64_t>(s1);
+      ci[j + 2] = static_cast<std::uint64_t>(s2);
+      ci[j + 3] = static_cast<std::uint64_t>(s3);
+    }
+    for (; j < cols; ++j) {
+      u128 s = 0;
+      for (std::size_t l0 = 0; l0 < inner; l0 += kLazy) {
+        const std::size_t l1 = std::min(inner, l0 + kLazy);
+        for (std::size_t l = l0; l < l1; ++l) s += u128{ai[l]} * b[l * ldb + j];
+        s = fold128(s);
+      }
+      ci[j] = static_cast<std::uint64_t>(s);
+    }
+  }
 }
 
 std::uint64_t PrimeField::horner(const std::uint64_t* coeffs,
                                  std::size_t count, std::uint64_t x) const {
   SSBFT_CHECK(x < kPrime);
-  std::uint64_t out = 0;
-  m61simd::eval_many_scalar(coeffs, count, &x, 1, &out);
-  return out;
-}
-
-void PrimeField::eval_many(const std::uint64_t* coeffs, std::size_t count,
-                           const std::uint64_t* xs, std::size_t m,
-                           std::uint64_t* out) const {
-  m61simd::eval_many(coeffs, count, xs, m, out);
+  std::uint64_t acc = 0;
+  for (std::size_t i = count; i-- > 0;) {
+    const std::uint64_t s =
+        fold61(static_cast<unsigned __int128>(acc) * x) + coeffs[i];
+    acc = s >= kPrime ? s - kPrime : s;
+  }
+  return acc;
 }
 
 void PrimeField::batch_inv(std::uint64_t* vals, std::size_t len,

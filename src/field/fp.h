@@ -10,19 +10,28 @@
 // division anywhere on the hot path.
 //
 // The scalar ops keep the contract checks from support/check.h; the batch
-// kernels (mul_vec, eval_many, batch_inv, ...) hoist validation out of the
+// kernels (mul_vec, matmul, batch_inv, ...) hoist validation out of the
 // element loop — callers must pass canonical elements (the kernels' inputs
 // always come from already-validated flat storage in this codebase).
 //
-// SIMD dispatch design (field/fp_simd.h): the batch kernels forward to
-// m61simd, which routes each call to a vector backend (AVX2 today; the
-// seam admits a NEON backend the same way) when one is compiled in and
-// the CPU supports it, and to its scalar kernels otherwise. The CPU probe
-// runs once and is cached; there is no per-element dispatch. Every backend
-// produces the unique canonical representative of the same field result,
-// so replays, wire bytes and trace commitments are identical on every
-// path. Building with -DSSBFT_SIMD=off compiles the vector backend out;
-// tests compare both backends against an independent `%`-based oracle.
+// The coin's hot loops (row extraction, row evaluation at every node point,
+// Lagrange recovery) are all small matrix products over the fixed node
+// points 1..n, so they share one kernel, matmul: it sums each output's
+// products lazily in 128 bits and reduces once per 64 products (fold128),
+// instead of reducing after every multiply-add.
+//
+// SIMD dispatch design (field/fp_simd.h): the element-wise kernels and
+// batch inversion forward to m61simd, which routes each call to a vector
+// backend (AVX2 today; the seam admits a NEON backend the same way) when
+// one is compiled in and the CPU supports it, and to its scalar kernels
+// otherwise. The CPU probe runs once and is cached; there is no
+// per-element dispatch. Every backend produces the unique canonical
+// representative of the same field result, so replays, wire bytes and
+// trace commitments are identical on every path. Building with
+// -DSSBFT_SIMD=off compiles the vector backend out; tests compare both
+// backends against an independent `%`-based oracle. matmul has a single
+// scalar implementation: AVX2 has no 64x64->128 multiply, and a limb-split
+// vector variant did not gain enough to justify a second path.
 #pragma once
 
 #include <cstdint>
@@ -91,27 +100,20 @@ class PrimeField {
   void submul_vec(std::uint64_t* dst, const std::uint64_t* src,
                   std::uint64_t c, std::size_t len) const;
 
-  // dst[i] += c * src[i] (the bivariate row accumulation). dst must not
-  // alias src.
-  void addmul_vec(std::uint64_t* dst, const std::uint64_t* src,
-                  std::uint64_t c, std::size_t len) const;
-
-  // sum_i a[i] * b[i] — the Lagrange-row dot products of the GVSS recover
-  // fast path. Modular addition is associative, so any internal
-  // accumulation order yields the same canonical result.
-  std::uint64_t dot(const std::uint64_t* a, const std::uint64_t* b,
-                    std::size_t len) const;
+  // C = A * B for row-major matrices: c[i*ldc + j] = sum_l a[i*lda + l] *
+  // b[l*ldb + j] for i < rows, j < cols, l < inner (inner == 0 yields
+  // zeros). Every entry of A and B must be below 2^61 — canonical, or the
+  // wire codec's sentinel p — so 64 products plus a carried residue stay
+  // under 2^128; each output accumulates in 128 bits and folds once per 64
+  // products. C must not overlap A or B.
+  void matmul(std::size_t rows, std::size_t inner, std::size_t cols,
+              const std::uint64_t* a, std::size_t lda, const std::uint64_t* b,
+              std::size_t ldb, std::uint64_t* c, std::size_t ldc) const;
 
   // Horner evaluation of sum_i coeffs[i] x^i (count coefficients,
   // little-endian). count == 0 yields 0.
   std::uint64_t horner(const std::uint64_t* coeffs, std::size_t count,
                        std::uint64_t x) const;
-
-  // out[k] = Horner(coeffs, xs[k]) for k < m: one polynomial over a point
-  // set, with the dispatch and bounds work hoisted out of the loop.
-  void eval_many(const std::uint64_t* coeffs, std::size_t count,
-                 const std::uint64_t* xs, std::size_t m,
-                 std::uint64_t* out) const;
 
   // Montgomery batch inversion: replaces vals[i] with vals[i]^-1 using a
   // single inv() and 3(len-1) multiplications. All vals must be nonzero.
@@ -137,6 +139,18 @@ class PrimeField {
                       static_cast<std::uint64_t>(t >> 61);  // < 2^62
     s = (s & kPrime) + (s >> 61);                           // <= 2^61
     return s >= kPrime ? s - kPrime : s;
+  }
+
+  // Reduces any t < 2^128 modulo 2^61 - 1 — the lazy accumulators of
+  // matmul, where two products can already pass fold61's 2^122 limit.
+  // With t = hi * 2^64 + lo and 2^64 = 8 (mod p), both halves fold in
+  // 64-bit arithmetic to a sum below 2^63, which fold61 then
+  // canonicalizes.
+  static std::uint64_t fold128(unsigned __int128 t) {
+    const auto lo = static_cast<std::uint64_t>(t);
+    const auto hi = static_cast<std::uint64_t>(t >> 64);
+    return fold61((lo & kPrime) + (lo >> 61) + ((hi << 3) & kPrime) +
+                  (hi >> 58));
   }
 
  private:

@@ -24,11 +24,6 @@ inline std::uint64_t mul_m61(std::uint64_t a, std::uint64_t b) {
   return PrimeField::fold61(static_cast<unsigned __int128>(a) * b);
 }
 
-inline std::uint64_t add_m61(std::uint64_t a, std::uint64_t b) {
-  const std::uint64_t s = a + b;  // both < 2^61: no wraparound
-  return s >= kM61 ? s - kM61 : s;
-}
-
 inline std::uint64_t sub_m61(std::uint64_t a, std::uint64_t b) {
   return a >= b ? a - b : a + (kM61 - b);
 }
@@ -67,15 +62,6 @@ __attribute__((target("avx2"))) inline __m256i m61_mulmod(__m256i a,
   const __m256i s =
       _mm256_add_epi64(_mm256_and_si256(S, M), _mm256_srli_epi64(S, 61));
   // s < 2^61 + 4, so the signed 64-bit compare is exact.
-  const __m256i ge = _mm256_cmpgt_epi64(
-      s, _mm256_set1_epi64x(static_cast<long long>(kM61 - 1)));
-  return _mm256_sub_epi64(s, _mm256_and_si256(ge, M));
-}
-
-__attribute__((target("avx2"))) inline __m256i m61_addmod(__m256i a,
-                                                          __m256i b) {
-  const __m256i M = _mm256_set1_epi64x(static_cast<long long>(kM61));
-  const __m256i s = _mm256_add_epi64(a, b);  // both < 2^61: no wraparound
   const __m256i ge = _mm256_cmpgt_epi64(
       s, _mm256_set1_epi64x(static_cast<long long>(kM61 - 1)));
   return _mm256_sub_epi64(s, _mm256_and_si256(ge, M));
@@ -135,68 +121,6 @@ __attribute__((target("avx2"))) void submul_vec_avx2(std::uint64_t* dst,
                         m61_submod(vd, m61_mulmod(vs, vc)));
   }
   for (; i < len; ++i) dst[i] = sub_m61(dst[i], mul_m61(src[i], c));
-}
-
-__attribute__((target("avx2"))) void addmul_vec_avx2(std::uint64_t* dst,
-                                                     const std::uint64_t* src,
-                                                     std::uint64_t c,
-                                                     std::size_t len) {
-  const __m256i vc = _mm256_set1_epi64x(static_cast<long long>(c));
-  std::size_t i = 0;
-  for (; i + 4 <= len; i += 4) {
-    const __m256i vs =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    const __m256i vd =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        m61_addmod(vd, m61_mulmod(vs, vc)));
-  }
-  for (; i < len; ++i) dst[i] = add_m61(dst[i], mul_m61(src[i], c));
-}
-
-__attribute__((target("avx2"))) std::uint64_t dot_avx2(const std::uint64_t* a,
-                                                       const std::uint64_t* b,
-                                                       std::size_t len) {
-  __m256i acc = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 4 <= len; i += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    acc = m61_addmod(acc, m61_mulmod(va, vb));
-  }
-  alignas(32) std::uint64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  std::uint64_t r = add_m61(add_m61(lanes[0], lanes[1]),
-                            add_m61(lanes[2], lanes[3]));
-  for (; i < len; ++i) r = add_m61(r, mul_m61(a[i], b[i]));
-  return r;
-}
-
-__attribute__((target("avx2"))) void eval_many_avx2(
-    const std::uint64_t* coeffs, std::size_t count, const std::uint64_t* xs,
-    std::size_t m, std::uint64_t* out) {
-  std::size_t k = 0;
-  // Two independent 4-lane Horner chains per tile hide the multiply
-  // latency; the coefficient broadcast is shared by all 8 points.
-  for (; k + 8 <= m; k += 8) {
-    const __m256i x0 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(xs + k));
-    const __m256i x1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(xs + k + 4));
-    __m256i acc0 = _mm256_setzero_si256();
-    __m256i acc1 = _mm256_setzero_si256();
-    for (std::size_t i = count; i-- > 0;) {
-      const __m256i c =
-          _mm256_set1_epi64x(static_cast<long long>(coeffs[i]));
-      acc0 = m61_addmod(m61_mulmod(acc0, x0), c);
-      acc1 = m61_addmod(m61_mulmod(acc1, x1), c);
-    }
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + k), acc0);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + k + 4), acc1);
-  }
-  eval_many_scalar(coeffs, count, xs + k, m - k, out + k);
 }
 
 __attribute__((target("avx2"))) inline __m256i gather4(
@@ -260,33 +184,6 @@ void submul_vec_scalar(std::uint64_t* dst, const std::uint64_t* src,
                        std::uint64_t c, std::size_t len) {
   for (std::size_t i = 0; i < len; ++i) {
     dst[i] = sub_m61(dst[i], mul_m61(src[i], c));
-  }
-}
-
-void addmul_vec_scalar(std::uint64_t* dst, const std::uint64_t* src,
-                       std::uint64_t c, std::size_t len) {
-  for (std::size_t i = 0; i < len; ++i) {
-    dst[i] = add_m61(dst[i], mul_m61(src[i], c));
-  }
-}
-
-std::uint64_t dot_scalar(const std::uint64_t* a, const std::uint64_t* b,
-                         std::size_t len) {
-  std::uint64_t acc = 0;
-  for (std::size_t i = 0; i < len; ++i) acc = add_m61(acc, mul_m61(a[i], b[i]));
-  return acc;
-}
-
-void eval_many_scalar(const std::uint64_t* coeffs, std::size_t count,
-                      const std::uint64_t* xs, std::size_t m,
-                      std::uint64_t* out) {
-  for (std::size_t k = 0; k < m; ++k) {
-    const std::uint64_t x = xs[k];
-    std::uint64_t acc = 0;
-    for (std::size_t i = count; i-- > 0;) {
-      acc = add_m61(mul_m61(acc, x), coeffs[i]);
-    }
-    out[k] = acc;
   }
 }
 
@@ -358,36 +255,6 @@ void submul_vec(std::uint64_t* dst, const std::uint64_t* src, std::uint64_t c,
   }
 #endif
   submul_vec_scalar(dst, src, c, len);
-}
-
-void addmul_vec(std::uint64_t* dst, const std::uint64_t* src, std::uint64_t c,
-                std::size_t len) {
-#if SSBFT_HAVE_AVX2_KERNELS
-  if (available()) {
-    addmul_vec_avx2(dst, src, c, len);
-    return;
-  }
-#endif
-  addmul_vec_scalar(dst, src, c, len);
-}
-
-std::uint64_t dot(const std::uint64_t* a, const std::uint64_t* b,
-                  std::size_t len) {
-#if SSBFT_HAVE_AVX2_KERNELS
-  if (available()) return dot_avx2(a, b, len);
-#endif
-  return dot_scalar(a, b, len);
-}
-
-void eval_many(const std::uint64_t* coeffs, std::size_t count,
-               const std::uint64_t* xs, std::size_t m, std::uint64_t* out) {
-#if SSBFT_HAVE_AVX2_KERNELS
-  if (available()) {
-    eval_many_avx2(coeffs, count, xs, m, out);
-    return;
-  }
-#endif
-  eval_many_scalar(coeffs, count, xs, m, out);
 }
 
 void chunk_prefix(const std::uint64_t* vals, std::uint64_t* scratch,

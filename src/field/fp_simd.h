@@ -1,11 +1,13 @@
 // Batch kernels for Z_(2^61-1), with a runtime-selected vector backend.
 //
 // Everything here operates on canonical elements of Z_(2^61-1), the one
-// field of the codebase (field/fp.h); PrimeField's batch kernels forward
-// here. Each dispatched kernel runs the AVX2 variant when it is compiled
-// in and the CPU supports it, and the matching `*_scalar` kernel
-// otherwise. The scalar kernels share PrimeField::fold61 and are exposed
-// as the reference the tests cross-check the dispatched kernels against.
+// field of the codebase (field/fp.h); PrimeField's element-wise kernels and
+// batch inversion forward here. Each dispatched kernel runs the AVX2
+// variant when it is compiled in and the CPU supports it, and the matching
+// `*_scalar` kernel otherwise. The scalar kernels share PrimeField::fold61
+// and are exposed as the reference the tests cross-check the dispatched
+// kernels against. The coin's matrix products do not come here: they run
+// on PrimeField::matmul, which is scalar only (see field/fp.h).
 //
 // Dispatch contract (see the design note in field/fp.h): `available()`
 // probes the CPU once (cached static); each kernel branches on that flag
@@ -42,24 +44,6 @@ void scale_vec(const std::uint64_t* a, std::uint64_t c, std::uint64_t* out,
 void submul_vec(std::uint64_t* dst, const std::uint64_t* src, std::uint64_t c,
                 std::size_t len);
 
-// dst[i] = dst[i] + c * src[i] mod 2^61-1. dst must not alias src.
-// (The bivariate row evaluation: out += row_i * x^i, column-wise.)
-void addmul_vec(std::uint64_t* dst, const std::uint64_t* src, std::uint64_t c,
-                std::size_t len);
-
-// sum_i a[i] * b[i] mod 2^61-1 (the GVSS recover fast path's Lagrange-row
-// dot products). Canonical result; lane accumulation reassociates the sum,
-// which is exact under modular addition.
-std::uint64_t dot(const std::uint64_t* a, const std::uint64_t* b,
-                  std::size_t len);
-
-// out[k] = Horner(coeffs, xs[k]) for k < m. Points are processed in
-// register-resident tiles of 8 with the coefficient stream broadcast
-// across lanes, so one coefficient load amortizes over the whole tile and
-// the per-row tables of the (dealings x node-points) loop stay cache-hot.
-void eval_many(const std::uint64_t* coeffs, std::size_t count,
-               const std::uint64_t* xs, std::size_t m, std::uint64_t* out);
-
 // Lane passes of Montgomery batch inversion over four contiguous chunks of
 // length K (chunk c = [c*K, (c+1)*K)):
 //   chunk_prefix: scratch[c*K+i] = prod_{j<=i} vals[c*K+j]
@@ -77,13 +61,6 @@ void scale_vec_scalar(const std::uint64_t* a, std::uint64_t c,
                       std::uint64_t* out, std::size_t len);
 void submul_vec_scalar(std::uint64_t* dst, const std::uint64_t* src,
                        std::uint64_t c, std::size_t len);
-void addmul_vec_scalar(std::uint64_t* dst, const std::uint64_t* src,
-                       std::uint64_t c, std::size_t len);
-std::uint64_t dot_scalar(const std::uint64_t* a, const std::uint64_t* b,
-                         std::size_t len);
-void eval_many_scalar(const std::uint64_t* coeffs, std::size_t count,
-                      const std::uint64_t* xs, std::size_t m,
-                      std::uint64_t* out);
 void chunk_prefix_scalar(const std::uint64_t* vals, std::uint64_t* scratch,
                          std::size_t K);
 void chunk_unwind_scalar(std::uint64_t* vals, const std::uint64_t* scratch,

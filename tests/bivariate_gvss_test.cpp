@@ -2,8 +2,13 @@
 // blocks: the share/decide/recover facts Observation 2.1 relies on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <string>
+
 #include "coin/gvss.h"
 #include "field/bivariate.h"
+#include "support/bitwords.h"
 
 namespace ssbft {
 namespace {
@@ -201,6 +206,7 @@ TEST_P(GvssRecoverTest, TableFastPathMatchesClassicInterpolation) {
   const auto [n, f] = GetParam();
   PrimeField F;
   GvssRecoverTable table(F, n, f);
+  std::vector<std::uint64_t> ys(f + 1);
   Rng rng(n * 43 + f);
   for (int trial = 0; trial < 20; ++trial) {
     auto dealing = GvssDealing::sample(F, f, rng);
@@ -215,17 +221,218 @@ TEST_P(GvssRecoverTest, TableFastPathMatchesClassicInterpolation) {
     for (std::uint64_t l = 0; l < lies; ++l) {
       shares[rng.next_below(n)].y = F.uniform(rng);
     }
-    const auto with_table = gvss_recover(F, f, shares, &table);
+    const auto with_table = gvss_recover(F, f, shares, &table, ys.data());
     const auto without = gvss_recover(F, f, shares);
     ASSERT_EQ(with_table.has_value(), without.has_value()) << "trial " << trial;
     if (with_table) EXPECT_EQ(*with_table, *without) << "trial " << trial;
     // Non-canonical subset (first sender missing): the table cannot apply;
     // both routes must still agree.
     std::vector<RsPoint> tail(shares.begin() + 1, shares.end());
-    const auto tail_with = gvss_recover(F, f, tail, &table);
+    const auto tail_with = gvss_recover(F, f, tail, &table, ys.data());
     const auto tail_without = gvss_recover(F, f, tail);
     ASSERT_EQ(tail_with.has_value(), tail_without.has_value());
     if (tail_with) EXPECT_EQ(*tail_with, *tail_without);
+  }
+}
+
+// --- The coin's batched products vs the per-row / per-dealer paths ---------
+
+class CoinBatchTest : public ::testing::TestWithParam<RecoverParam> {};
+
+INSTANTIATE_TEST_SUITE_P(Sweep, CoinBatchTest,
+                         ::testing::Values(RecoverParam{4, 1},
+                                           RecoverParam{7, 2},
+                                           RecoverParam{13, 4},
+                                           RecoverParam{64, 21},
+                                           RecoverParam{128, 42}));
+
+TEST_P(CoinBatchTest, DealRowsProductMatchesRowFor) {
+  const auto [n, f] = GetParam();
+  PrimeField F;
+  Rng rng(n * 47 + f);
+  const auto tables = coin_tables(n, f);
+  const std::size_t w = std::size_t{f} + 1;
+  std::vector<std::uint64_t> rows(n * w);
+  for (int trial = 0; trial < 3; ++trial) {
+    const auto dealing = GvssDealing::sample(F, f, rng);
+    dealing.bivariate().rows_into(F, tables->powers.data(), n, rows.data());
+    for (NodeId j = 0; j < n; ++j) {
+      const std::vector<std::uint64_t> row(rows.begin() + j * w,
+                                           rows.begin() + (j + 1) * w);
+      ASSERT_EQ(row, dealing.row_for(F, j)) << "node " << j;
+    }
+  }
+}
+
+TEST_P(CoinBatchTest, DealEvalProductMatchesHorner) {
+  // R * vander evaluates every row at every node point.
+  const auto [n, f] = GetParam();
+  PrimeField F;
+  Rng rng(n * 53 + f);
+  const auto tables = coin_tables(n, f);
+  const std::size_t w = std::size_t{f} + 1;
+  std::vector<std::uint64_t> rows(n * w), evals(n * n);
+  for (auto& v : rows) v = F.uniform(rng);
+  F.matmul(n, w, n, rows.data(), w, tables->vander.data(), n, evals.data(), n);
+  for (NodeId d = 0; d < n; ++d) {
+    for (NodeId j = 0; j < n; ++j) {
+      ASSERT_EQ(evals[d * n + j], F.horner(rows.data() + d * w, w, node_point(j)))
+          << d << "," << j;
+    }
+  }
+}
+
+// One recover round's inputs, honest by default: every sender holds the
+// true share of every dealing, sends it, and accepts every dealer.
+struct RecoverRound {
+  RecoverRound(const PrimeField& F, std::uint32_t n_, std::uint32_t f_,
+               Rng& rng)
+      : n(n_),
+        f(f_),
+        words(bitword_count(n_)),
+        shares(std::size_t{n_} * n_),
+        sender_ok(n_, 1),
+        accepts(std::size_t{n_} * words, 0),
+        grades(n_, GvssGrade::kHigh) {
+    for (NodeId d = 0; d < n; ++d) {
+      const auto dealing = GvssDealing::sample(F, f, rng);
+      secrets.push_back(dealing.secret());
+      for (NodeId j = 0; j < n; ++j) {
+        shares[j * n + d] = Poly(dealing.row_for(F, j)).eval(F, 0);
+        bitword_set(accepts.data() + j * words, d, true);
+      }
+    }
+  }
+
+  void reject(NodeId j, NodeId d) {
+    bitword_set(accepts.data() + j * words, d, false);
+  }
+
+  // The per-dealer reference: the counted shares in sender order.
+  std::vector<RsPoint> points_of(const PrimeField& F, NodeId d) const {
+    std::vector<RsPoint> pts;
+    for (NodeId j = 0; j < n; ++j) {
+      const std::uint64_t y = shares[j * n + d];
+      if (sender_ok[j] && bitword_get(accepts.data() + j * words, d) &&
+          F.valid(y)) {
+        pts.push_back({node_point(j), y});
+      }
+    }
+    return pts;
+  }
+
+  std::uint32_t n, f;
+  std::size_t words;
+  std::vector<std::uint64_t> shares;
+  std::vector<std::uint8_t> sender_ok;
+  std::vector<std::uint64_t> accepts;
+  std::vector<GvssGrade> grades;
+  std::vector<std::uint64_t> secrets;
+};
+
+// Runs gvss_recover_all with and without the table and checks every dealer
+// against per-dealer gvss_recover with and without the table. Returns the
+// number of dealers the product recovered.
+std::size_t expect_matches_per_dealer(const PrimeField& F,
+                                      const RecoverRound& r,
+                                      const std::string& what) {
+  const auto tables = coin_tables(r.n, r.f);
+  GvssRecoverScratch scratch;
+  scratch.ensure(r.n, r.f);
+  std::vector<std::optional<std::uint64_t>> batch(r.n), plain(r.n);
+  gvss_recover_all(F, r.n, r.f, r.shares.data(), r.sender_ok.data(),
+                   r.accepts.data(), r.words, r.grades.data(),
+                   &tables->recover, scratch, batch.data());
+  std::size_t batched = 0;
+  for (NodeId d = 0; d < r.n; ++d) batched += scratch.batched[d];
+  gvss_recover_all(F, r.n, r.f, r.shares.data(), r.sender_ok.data(),
+                   r.accepts.data(), r.words, r.grades.data(), nullptr,
+                   scratch, plain.data());
+  std::vector<std::uint64_t> ys(r.f + 1);
+  for (NodeId d = 0; d < r.n; ++d) {
+    if (r.grades[d] == GvssGrade::kNone) {
+      EXPECT_FALSE(batch[d].has_value()) << what << " dealer " << d;
+      EXPECT_FALSE(plain[d].has_value()) << what << " dealer " << d;
+      continue;
+    }
+    const auto pts = r.points_of(F, d);
+    const auto want = gvss_recover(F, r.f, pts);
+    EXPECT_EQ(gvss_recover(F, r.f, pts, &tables->recover, ys.data()), want)
+        << what << " dealer " << d;
+    EXPECT_EQ(batch[d], want) << what << " dealer " << d;
+    EXPECT_EQ(plain[d], want) << what << " dealer " << d;
+  }
+  return batched;
+}
+
+TEST_P(CoinBatchTest, RecoverAllMatchesPerDealerRecover) {
+  const auto [n, f] = GetParam();
+  PrimeField F;
+  Rng rng(n * 59 + f);
+  // Dealers that get lies or a private sender set; Berlekamp-Welch runs for
+  // each of them, so the count stays small at large n.
+  const std::size_t picked = std::min<std::size_t>(n, 8);
+
+  {
+    RecoverRound r(F, n, f, rng);
+    EXPECT_EQ(expect_matches_per_dealer(F, r, "clean"), n);
+    for (NodeId d = 0; d < n; ++d) {
+      EXPECT_EQ(gvss_recover(F, f, r.points_of(F, d)), r.secrets[d]);
+    }
+  }
+  {
+    // Steady state: the f highest ids are silent and their dealings
+    // ungraded.
+    RecoverRound r(F, n, f, rng);
+    for (NodeId j = n - f; j < n; ++j) {
+      r.sender_ok[j] = 0;
+      r.grades[j] = GvssGrade::kNone;
+    }
+    EXPECT_EQ(expect_matches_per_dealer(F, r, "silent faulty"), n - f);
+  }
+  {
+    // A prefix sender is missing: nothing can use the product.
+    RecoverRound r(F, n, f, rng);
+    r.sender_ok[rng.next_below(f + 1)] = 0;
+    EXPECT_EQ(expect_matches_per_dealer(F, r, "prefix sender missing"), 0u);
+  }
+  {
+    // Dealers with their own sender sets (a rejected vote, an absent share,
+    // inside and outside the prefix) next to dealers that match S, with
+    // mixed grades.
+    RecoverRound r(F, n, f, rng);
+    for (std::size_t k = 0; k < picked; ++k) {
+      const auto d = static_cast<NodeId>(rng.next_below(n));
+      r.reject(static_cast<NodeId>(rng.next_below(n)), d);
+      r.shares[rng.next_below(n) * n + d] = PrimeField::kPrime;  // absent
+      r.grades[rng.next_below(n)] =
+          static_cast<GvssGrade>(rng.next_below(3));
+    }
+    expect_matches_per_dealer(F, r, "different sender sets");
+  }
+  // Berlekamp-Welch dominates at large n: sample the lie counts there.
+  std::vector<std::uint32_t> lie_counts = {0, 1, f / 2, f};
+  if (n <= 13) {
+    lie_counts.clear();
+    for (std::uint32_t l = 0; l <= f; ++l) lie_counts.push_back(l);
+  }
+  for (const std::uint32_t lies : lie_counts) {
+    // `lies` wrong shares per picked dealer, alternating between the
+    // prefix and the other senders.
+    RecoverRound r(F, n, f, rng);
+    for (std::size_t k = 0; k < picked; ++k) {
+      const auto d = static_cast<NodeId>(rng.next_below(n));
+      for (std::uint32_t l = 0; l < lies; ++l) {
+        const auto j = static_cast<NodeId>(
+            l % 2 == 0 ? rng.next_below(f + 1)
+                       : f + 1 + rng.next_below(n - f - 1));
+        r.shares[j * n + d] = F.uniform(rng);
+      }
+    }
+    // Lies change share values, not sender sets: every dealer still takes
+    // the product, and the liars' dealings fall back one by one.
+    EXPECT_EQ(expect_matches_per_dealer(F, r, "lies=" + std::to_string(lies)),
+              n);
   }
 }
 

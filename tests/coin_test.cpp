@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <thread>
+#include <utility>
 
 #include "adversary/adversaries.h"
 #include "coin/coin_pipeline.h"
@@ -281,6 +283,43 @@ TEST(FmCoin, CorrectDealersGetHighGrades) {
       dynamic_cast<const CoinHostProtocol&>(bundle2.engine->node(0)).bits();
   ASSERT_EQ(b1.size(), 20u);
   EXPECT_EQ(b1, b2);
+}
+
+TEST(FmCoin, ConcurrentEnginesShareOneTablePerShape) {
+  // Sweeps build engines on several threads, which then meet in the
+  // process-wide coin_tables() cache. Shapes no other test here uses, so
+  // the threads race to build the tables the first time.
+  const FmParam shapes[] = {{6, 1}, {9, 2}};
+  constexpr int kThreads = 4;
+  const auto run = [&shapes](int i) {
+    const FmParam s = shapes[i % 2];
+    const CoinSpec spec = fm_coin_spec();
+    auto bundle = coin_engine(s.n, s.f, spec, 41 + i, make_silent_adversary());
+    bundle.engine->run_beats(24);
+    std::vector<std::vector<bool>> bits;
+    for (NodeId id : bundle.engine->correct_ids()) {
+      bits.push_back(
+          dynamic_cast<const CoinHostProtocol&>(bundle.engine->node(id))
+              .bits());
+    }
+    return std::make_pair(bits, coin_tables(s.n, s.f).get());
+  };
+  std::vector<std::pair<std::vector<std::vector<bool>>, const CoinTables*>>
+      parallel(kThreads);
+  {
+    std::vector<std::thread> threads;
+    for (int i = 0; i < kThreads; ++i) {
+      threads.emplace_back([&parallel, &run, i] { parallel[i] = run(i); });
+    }
+    for (auto& t : threads) t.join();
+  }
+  for (int i = 0; i < kThreads; ++i) {
+    const auto serial = run(i);
+    EXPECT_EQ(parallel[i].first, serial.first) << "engine " << i;
+    EXPECT_EQ(parallel[i].second, serial.second) << "engine " << i;
+    EXPECT_EQ(parallel[i].second, parallel[i % 2].second) << "engine " << i;
+  }
+  EXPECT_NE(parallel[0].second, parallel[1].second);
 }
 
 }  // namespace

@@ -150,26 +150,44 @@ TEST(BatchKernels, BatchInvMatchesScalarInv) {
   }
 }
 
-TEST(BatchKernels, EvalManyMatchesHorner) {
+TEST(BatchKernels, HornerMatchesPolyEval) {
   PrimeField F;
   Rng rng(kP % 1000 + 9);
   Poly p = Poly::random(F, 7, rng);
-  const std::size_t m = 33;
-  std::vector<std::uint64_t> xs(m), out(m);
-  for (auto& x : xs) x = F.uniform(rng);
-  F.eval_many(p.coeffs().data(), p.coeffs().size(), xs.data(), m, out.data());
-  for (std::size_t k = 0; k < m; ++k) {
-    ASSERT_EQ(out[k], p.eval(F, xs[k]));
-    ASSERT_EQ(out[k], Poly::eval_raw(F, p.coeffs().data(), p.coeffs().size(),
-                                     xs[k]));
+  for (int k = 0; k < 33; ++k) {
+    const std::uint64_t x = F.uniform(rng);
+    ASSERT_EQ(Poly::eval_raw(F, p.coeffs().data(), p.coeffs().size(), x),
+              p.eval(F, x));
+  }
+}
+
+TEST(PrimeField, Fold128ReducesEveryWidth) {
+  using u128 = unsigned __int128;
+  const u128 cases[] = {0,
+                        kP - 1,
+                        kP,
+                        u128{1} << 122,
+                        ~u128{0},  // 2^128 - 1
+                        u128{kP} * 12345,
+                        u128{kP} * kP,
+                        u128{kP - 1} * (kP - 1) * 64 + (kP - 1)};
+  for (const u128 t : cases) {
+    ASSERT_EQ(PrimeField::fold128(t), static_cast<std::uint64_t>(t % kP))
+        << "t=" << static_cast<std::uint64_t>(t >> 64) << ":"
+        << static_cast<std::uint64_t>(t);
+  }
+  Rng rng(2029);
+  for (int i = 0; i < 1000; ++i) {
+    const u128 t = (u128{rng.next_u64()} << 64) | rng.next_u64();
+    ASSERT_EQ(PrimeField::fold128(t), static_cast<std::uint64_t>(t % kP));
   }
 }
 
 // --- Kernel property tests: dispatched vs scalar reference vs oracle --------
 //
-// Every batch kernel is checked three ways: the dispatched kernel (the
-// vector backend where this machine has one), m61simd's scalar reference,
-// and the `%`-based oracle in m61_oracle.h. Lengths 0..40 cover every lane
+// Every dispatched kernel is checked three ways: as dispatched (the vector
+// backend where this machine has one), as m61simd's scalar reference, and
+// against the `%`-based oracle in m61_oracle.h. Lengths 0..40 cover every lane
 // residue and both sides of batch_inv's lane threshold (32); 257 adds a
 // long vector. Edge values 0, 1 and p-1 are planted so every lane position
 // sees each of them ((p-1)*(p-1) is the 2^122-magnitude fold case). On
@@ -235,52 +253,124 @@ TEST(Mersenne61Simd, MulScaleSubmulMatchScalarAndOracle) {
   }
 }
 
-TEST(Mersenne61Simd, AddmulAndDotMatchScalarAndOracle) {
-  PrimeField F;
-  Rng rng(2027);
-  for (std::size_t len : kernel_lengths()) {
-    const auto a = edgy_vec(len, rng, 0), b = edgy_vec(len, rng, 1);
-    // dot reassociates the accumulation across lanes, which is exact under
-    // modular addition — the oracle sums left to right.
-    std::uint64_t want_dot = 0;
-    for (std::size_t i = 0; i < len; ++i) {
-      want_dot = oracle::add(want_dot, oracle::mul(a[i], b[i]));
-    }
-    ASSERT_EQ(F.dot(a.data(), b.data(), len), want_dot) << "dot len=" << len;
-    ASSERT_EQ(m61simd::dot_scalar(a.data(), b.data(), len), want_dot)
-        << "dot_scalar len=" << len;
-    for (const std::uint64_t c : {std::uint64_t{0}, std::uint64_t{1}, kP - 1,
-                                  rng.next_below(kP)}) {
-      std::vector<std::uint64_t> got = a, ref = a, want(len);
-      F.addmul_vec(got.data(), b.data(), c, len);
-      m61simd::addmul_vec_scalar(ref.data(), b.data(), c, len);
-      for (std::size_t i = 0; i < len; ++i) {
-        want[i] = oracle::add(a[i], oracle::mul(b[i], c));
+// --- The matrix-product kernel ---------------------------------------------
+//
+// matmul is checked against two references: a scalar loop that reduces
+// with fold61 after every multiply-add (so no sum ever exceeds 2^122), and
+// the oracle. Inner lengths straddle the 64-product fold block.
+
+// c = a * b with one fold61 per multiply-add.
+std::vector<std::uint64_t> matmul_fold61(const std::vector<std::uint64_t>& a,
+                                         const std::vector<std::uint64_t>& b,
+                                         std::size_t rows, std::size_t inner,
+                                         std::size_t cols) {
+  std::vector<std::uint64_t> c(rows * cols);
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t j = 0; j < cols; ++j) {
+      std::uint64_t acc = 0;
+      for (std::size_t l = 0; l < inner; ++l) {
+        acc = PrimeField::fold61(
+            static_cast<unsigned __int128>(a[i * inner + l]) * b[l * cols + j] +
+            acc);
       }
-      ASSERT_EQ(got, want) << "addmul_vec len=" << len << " c=" << c;
-      ASSERT_EQ(ref, want) << "addmul_vec_scalar len=" << len << " c=" << c;
+      c[i * cols + j] = acc;
+    }
+  }
+  return c;
+}
+
+std::vector<std::uint64_t> matmul_oracle(const std::vector<std::uint64_t>& a,
+                                         const std::vector<std::uint64_t>& b,
+                                         std::size_t rows, std::size_t inner,
+                                         std::size_t cols) {
+  std::vector<std::uint64_t> c(rows * cols);
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t j = 0; j < cols; ++j) {
+      std::uint64_t acc = 0;
+      for (std::size_t l = 0; l < inner; ++l) {
+        acc = oracle::add(acc, oracle::mul(a[i * inner + l], b[l * cols + j]));
+      }
+      c[i * cols + j] = acc;
+    }
+  }
+  return c;
+}
+
+const std::size_t kInnerLengths[] = {0, 1, 2, 63, 64, 65, 129};
+
+TEST(MatMul, AllMaxInputsMatchFold61LoopAndOracle) {
+  // Every input p-1: each product is (p-1)^2 ~ 2^122, the worst case for
+  // the lazy accumulator, at every inner length and column-tile residue.
+  PrimeField F;
+  for (const std::size_t inner : kInnerLengths) {
+    for (const std::size_t cols :
+         {std::size_t{1}, std::size_t{4}, std::size_t{7}}) {
+      const std::size_t rows = 3;
+      const std::vector<std::uint64_t> a(rows * inner, kP - 1),
+          b(inner * cols, kP - 1);
+      std::vector<std::uint64_t> got(rows * cols, 7);
+      F.matmul(rows, inner, cols, a.data(), inner, b.data(), cols, got.data(),
+               cols);
+      const auto want = matmul_oracle(a, b, rows, inner, cols);
+      ASSERT_EQ(got, want) << "inner=" << inner << " cols=" << cols;
+      ASSERT_EQ(matmul_fold61(a, b, rows, inner, cols), want)
+          << "inner=" << inner << " cols=" << cols;
     }
   }
 }
 
-TEST(Mersenne61Simd, EvalManyMatchesScalarAndOracle) {
+TEST(MatMul, EdgyInputsMatchFold61LoopAndOracle) {
+  PrimeField F;
+  Rng rng(2027);
+  for (const std::size_t inner : kInnerLengths) {
+    for (std::size_t cols = 0; cols <= 9; ++cols) {
+      const std::size_t rows = 1 + cols % 3;
+      const auto a = edgy_vec(rows * inner, rng, 0);
+      const auto b = edgy_vec(inner * cols, rng, 1);
+      std::vector<std::uint64_t> got(rows * cols);
+      F.matmul(rows, inner, cols, a.data(), inner, b.data(), cols, got.data(),
+               cols);
+      const auto want = matmul_oracle(a, b, rows, inner, cols);
+      ASSERT_EQ(got, want) << "inner=" << inner << " cols=" << cols;
+      ASSERT_EQ(matmul_fold61(a, b, rows, inner, cols), want);
+    }
+  }
+}
+
+TEST(MatMul, StridedOperandsTouchOnlyTheirWindow) {
+  // Sub-matrices of larger row-major buffers, as the coin uses them: the
+  // kernel reads and writes only the rows x cols window of each stride.
+  PrimeField F;
+  Rng rng(2030);
+  const std::size_t rows = 5, inner = 6, cols = 9;
+  const std::size_t lda = inner + 2, ldb = cols + 3, ldc = cols + 1;
+  std::vector<std::uint64_t> a(rows * lda), b(inner * ldb);
+  for (auto& v : a) v = F.uniform(rng);
+  for (auto& v : b) v = F.uniform(rng);
+  std::vector<std::uint64_t> c(rows * ldc, 42);
+  F.matmul(rows, inner, cols, a.data(), lda, b.data(), ldb, c.data(), ldc);
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t j = 0; j < cols; ++j) {
+      std::uint64_t want = 0;
+      for (std::size_t l = 0; l < inner; ++l) {
+        want = oracle::add(want, oracle::mul(a[i * lda + l], b[l * ldb + j]));
+      }
+      ASSERT_EQ(c[i * ldc + j], want) << i << "," << j;
+    }
+    ASSERT_EQ(c[i * ldc + cols], 42u) << "row " << i << " padding written";
+  }
+}
+
+TEST(Mersenne61, HornerMatchesOracle) {
   PrimeField F;
   Rng rng(2025);
   for (std::size_t count :
        {std::size_t{0}, std::size_t{1}, std::size_t{3}, std::size_t{43}}) {
-    for (std::size_t m : kernel_lengths()) {
-      const auto coeffs = edgy_vec(count, rng, 0);
-      const auto xs = edgy_vec(m, rng, 1);
-      std::vector<std::uint64_t> got(m), ref(m);
-      F.eval_many(coeffs.data(), count, xs.data(), m, got.data());
-      m61simd::eval_many_scalar(coeffs.data(), count, xs.data(), m,
-                                ref.data());
-      for (std::size_t k = 0; k < m; ++k) {
-        const std::uint64_t want = oracle::horner(coeffs.data(), count, xs[k]);
-        ASSERT_EQ(got[k], want) << "count=" << count << " m=" << m;
-        ASSERT_EQ(ref[k], want) << "count=" << count << " m=" << m;
-        ASSERT_EQ(F.horner(coeffs.data(), count, xs[k]), want);
-      }
+    const auto coeffs = edgy_vec(count, rng, 0);
+    for (const std::uint64_t x : edgy_vec(40, rng, 1)) {
+      ASSERT_EQ(F.horner(coeffs.data(), count, x),
+                oracle::horner(coeffs.data(), count, x))
+          << "count=" << count;
     }
   }
 }
