@@ -67,35 +67,70 @@ CheckResult check_str(const std::string& s, const CheckOptions& opts) {
 // Every protocol family, traced over 10^4 beats, passes all four offline
 // invariants: agreement after the convergence beat, legal k-clock
 // increments, (with a corruption schedule) re-convergence within a bound,
-// and coin-value agreement among correct nodes.
+// and coin-value agreement among correct nodes. Each family's trace is
+// also byte-pinned by its SHA-256 commitment, so a refactor of the world
+// builders cannot move any family's execution unnoticed.
 
 struct FamilyCase {
   const char* name;
   Family fam;
   World w;
+  const char* commitment;  // trace_commitment of the 10^4-beat trace
 };
 
 std::vector<FamilyCase> family_cases() {
   std::vector<FamilyCase> cases;
   auto add = [&](const char* name, Family fam, std::uint32_t n,
-                 std::uint32_t f, ClockValue k, Attack attack) {
+                 std::uint32_t f, ClockValue k, Attack attack,
+                 const char* commitment, CoinKind coin = CoinKind::kOracle,
+                 std::uint32_t shared_pipeline = 0) {
     World w;
     w.n = n;
     w.f = f;
     w.actual = f;
     w.k = k;
     w.attack = attack;
-    cases.push_back({name, fam, w});
+    w.coin = coin;
+    w.shared_pipeline = shared_pipeline;
+    cases.push_back({name, fam, w, commitment});
   };
-  add("clock_sync", Family::kClockSync, 4, 1, 8, Attack::kSkew);
-  add("clock4", Family::kClock4, 4, 1, 4, Attack::kSilent);
-  add("clock2", Family::kClock2, 4, 1, 2, Attack::kSilent);
-  add("cascade", Family::kCascade, 4, 1, 4, Attack::kSilent);
-  add("dw", Family::kDolevWelch, 4, 1, 4, Attack::kSilent);
-  add("dw_shared", Family::kDolevWelchShared, 4, 1, 8, Attack::kSilent);
-  add("queen", Family::kPipelinedQueen, 5, 1, 8, Attack::kSilent);
-  add("king", Family::kPipelinedKing, 4, 1, 8, Attack::kSilent);
+  add("clock_sync", Family::kClockSync, 4, 1, 8, Attack::kSkew,
+      "325714e5638012d27352fa25cc3d26a15c757297b33ef96c7144d34c7e0797c5");
+  add("clock4", Family::kClock4, 4, 1, 4, Attack::kSilent,
+      "ad5d781835bf3718437487355d01521dc37a4d514682e6187592dc52822a7812");
+  add("clock2", Family::kClock2, 4, 1, 2, Attack::kSilent,
+      "b08947f70c406072333caeab95b6cb42f85eac76baed7c0bee389a7d1701a95b");
+  add("cascade", Family::kCascade, 4, 1, 4, Attack::kSilent,
+      "a21eda83ac65b850eb42c8b53b3e69d1972ff0a59d7d8d037a4e6d4984271a85");
+  add("dw", Family::kDolevWelch, 4, 1, 4, Attack::kSilent,
+      "17410dcd26c0e35526ab16184922878d5cd026016a55af8f470bed708b8deb85");
+  add("dw_shared", Family::kDolevWelchShared, 4, 1, 8, Attack::kSilent,
+      "b7a93386c69788824cc56bc0c65294ed11e99c3411bfaf9f70bf69c9c3baa88f");
+  add("queen", Family::kPipelinedQueen, 5, 1, 8, Attack::kSilent,
+      "5401dc491afa9ee8af14c172c0914ed273462fed1805b3483fc0ebd58c127abd");
+  add("king", Family::kPipelinedKing, 4, 1, 8, Attack::kSilent,
+      "8da1eee84b157640337784acfbc0d30038460074763f9477355c37a381a146fa");
+  add("clock_sync_fm", Family::kClockSync, 4, 1, 8, Attack::kSkew,
+      "e9ac0e398da85d5fb537de81a9de85920d0ed2c8b61a4966612e2eed6222b2aa",
+      CoinKind::kFm);
+  add("clock4_fm_shared", Family::kClock4, 4, 1, 4, Attack::kSilent,
+      "cf152622e3574f7648b5adbd8777314dbba1cad5cffa91d14b3db8a56bd4c4a8",
+      CoinKind::kFm, 1);
+  add("dw_shared_fm", Family::kDolevWelchShared, 4, 1, 8, Attack::kSilent,
+      "9679be985fa2f55b933b7b5c41982e680901d2bc44662d8587482c4b53f4b50b",
+      CoinKind::kFm);
   return cases;
+}
+
+// trace_commitment of a single serialized trace (parse -> merge).
+std::string commitment_str(const std::string& s) {
+  ParseResult p = parse_str(s);
+  EXPECT_TRUE(p.ok) << p.error << " at line " << p.error_line;
+  std::vector<ParsedTrace> parts;
+  parts.push_back(std::move(p.trace));
+  MergeResult m = merge_traces(std::move(parts));
+  EXPECT_TRUE(m.ok) << m.error;
+  return m.traces.empty() ? std::string() : trace_commitment(m.traces[0]);
 }
 
 TEST(TraceCheck, EveryFamilyPassesAllInvariantsOver10kBeats) {
@@ -112,6 +147,7 @@ TEST(TraceCheck, EveryFamilyPassesAllInvariantsOver10kBeats) {
     // Families tracing a shared coin must show post-convergence agreement;
     // the local-coin baselines legitimately trace no coin stream at all.
     if (res.coin_groups > 0) EXPECT_GE(res.coin_agreement_rate, 0.5);
+    EXPECT_EQ(commitment_str(trace), fc.commitment);
   }
 }
 
