@@ -23,9 +23,9 @@ namespace ssbft::bench {
 
 namespace {
 
-void print_usage(const char* prog, std::ostream& os, bool wrapper_note) {
+void print_usage(const char* prog, std::ostream& os) {
   os << "usage: " << prog
-     << " [--trials N] [--jobs J] [--seed S]\n"
+     << " <name|glob> [--trials N] [--jobs J] [--seed S]\n"
         "       [--format ascii|csv|jsonl] [--out FILE] [--progress] "
         "[--trace DIR]\n"
         "       [--shard I/K] [--checkpoint FILE [--checkpoint-every N] "
@@ -53,22 +53,16 @@ void print_usage(const char* prog, std::ostream& os, bool wrapper_note) {
         "(scenario globs only)\n"
         "results are bit-identical across --jobs values, traced or not, "
         "sharded or resumed or neither.\n";
-  if (wrapper_note) {
-    os << "this binary is a thin wrapper over the `ssbft_bench` driver: "
-          "`ssbft_bench list` names every experiment and scenario, "
-          "`ssbft_bench run <name|glob>` runs any of them.\n";
-  }
 }
 
 }  // namespace
 
-BenchOptions parse_cli(const char* prog, int argc, char** argv, int first,
-                       bool wrapper_note) {
+BenchOptions parse_cli(const char* prog, int argc, char** argv, int first) {
   BenchOptions o;
   for (int i = first; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") {
-      print_usage(prog, std::cout, wrapper_note);
+      print_usage(prog, std::cout);
       std::exit(0);
     }
     const auto take_raw = [&]() -> const char* {
@@ -800,15 +794,17 @@ void run_message_complexity(const BenchOptions& o, Report& r) {
       add_traffic(name, steady_state(b, beats));
     };
 
-    add("Dolev-Welch [10]", build_dolev_welch(w), 400);
+    add("Dolev-Welch [10]", build_world(Family::kDolevWelch, w), 400);
     {
       World wq = w;
       wq.f = (n - 1) / 4;
       wq.actual = wq.f;
-      add("pipelined queen [15]", build_pipelined(wq, false), 200);
+      add("pipelined queen [15]", build_world(Family::kPipelinedQueen, wq),
+          200);
     }
-    add("pipelined king [7]", build_pipelined(w, true), 200);
-    add("ss-Byz-Clock-Sync (oracle)", build_clock_sync(w), 300);
+    add("pipelined king [7]", build_world(Family::kPipelinedKing, w), 200);
+    add("ss-Byz-Clock-Sync (oracle)", build_world(Family::kClockSync, w),
+        300);
     {
       // One tracked run feeds both the table row and the per-round
       // breakdown (channel tracking changes nothing but wall-clock).
@@ -816,7 +812,8 @@ void run_message_complexity(const BenchOptions& o, Report& r) {
       wf.coin = CoinKind::kFm;
       wf.track_channel_bytes = true;
       const std::uint64_t beats = n >= 10 ? 60 : 150;
-      auto bundle = build_clock_sync(wf)(shifted_seed(o, 123));
+      auto bundle =
+          build_world(Family::kClockSync, wf)(shifted_seed(o, 123));
       bundle.engine->run_beats(beats / 2);
       bundle.engine->reset_channel_bytes();
       bundle.engine->run_beats(beats - beats / 2);
@@ -906,7 +903,8 @@ void run_table1_large(const BenchOptions& o, Report& r) {
     for (const Probe& p : probes) {
       World wp = w;
       wp.coin = p.kind;
-      auto bundle = build_clock_sync(wp)(shifted_seed(o, 123));
+      auto bundle =
+          build_world(Family::kClockSync, wp)(shifted_seed(o, 123));
       const auto t0 = std::chrono::steady_clock::now();
       bundle.engine->run_beats(p.beats);
       const auto t1 = std::chrono::steady_clock::now();
@@ -1059,24 +1057,6 @@ bool commit_report_out(AtomicOutFile& file, const char* prog) {
     return false;
   }
   return true;
-}
-
-int bench_main(const std::string& experiment, int argc, char** argv) {
-  const Experiment* e = find_experiment(experiment);
-  SSBFT_CHECK_MSG(e != nullptr, "unregistered experiment " << experiment);
-  const BenchOptions o = parse_cli(argv[0], argc, argv);
-  if (o.shard.active() || !o.checkpoint.empty() || o.resume) {
-    std::cerr << argv[0]
-              << ": --shard/--checkpoint/--resume apply to scenario sweeps "
-                 "(`ssbft_bench run <glob>`), not experiment tables\n";
-    return 2;
-  }
-  AtomicOutFile file;
-  std::ostream* os = open_report_out(o, file, argv[0]);
-  if (os == nullptr) return 2;
-  Report report(RunMeta{experiment, o.trials, o.seed, o.jobs}, o.format, *os);
-  e->run(o, report);
-  return commit_report_out(file, argv[0]) ? 0 : 2;
 }
 
 // SweepOptions for a scenario sweep, including the crash-safety knobs

@@ -1,7 +1,7 @@
-// The experiment registry behind every bench binary. Each of the eight
-// historical bench mains is one registered experiment; the `ssbft_bench`
-// driver runs any of them (or any registry scenario cell, by glob) and the
-// per-experiment binaries are thin wrappers over bench_main().
+// The experiment registry behind the `ssbft_bench` driver. Each bench
+// table is one registered experiment; `ssbft_bench run <experiment>` runs
+// any of them, and `ssbft_bench run <glob>` any set of registry scenario
+// cells.
 #pragma once
 
 #include <iosfwd>
@@ -15,7 +15,7 @@
 
 namespace ssbft::bench {
 
-// Shared CLI for the bench binaries and the driver's `run` subcommand.
+// CLI of the driver's `run` and `soak` subcommands.
 // A value of 0 means "keep the experiment's per-cell default" (for
 // --jobs, 0 means one worker per hardware thread, the default).
 struct BenchOptions {
@@ -40,11 +40,8 @@ struct BenchOptions {
 
 // Parses argv[first..) into a BenchOptions value; prints usage and exits
 // on --help or malformed input. No global state: the returned value flows
-// into the experiment/scenario calls explicitly. wrapper_note appends the
-// "this binary is a thin wrapper over ssbft_bench" pointer to --help —
-// the driver passes false when parsing its own `run` options.
-BenchOptions parse_cli(const char* prog, int argc, char** argv,
-                       int first = 1, bool wrapper_note = true);
+// into the experiment/scenario calls explicitly.
+BenchOptions parse_cli(const char* prog, int argc, char** argv, int first);
 
 // --trials / --seed overrides layered on an experiment's defaults.
 std::uint64_t trials_or(const BenchOptions& o, std::uint64_t def);
@@ -73,10 +70,6 @@ struct Experiment {
 // All experiments, in registration (display) order.
 const std::vector<Experiment>& experiments();
 const Experiment* find_experiment(const std::string& name);
-
-// Entry point for the thin per-experiment wrappers: parse CLI, open
-// --out if given, run the experiment. Returns the process exit code.
-int bench_main(const std::string& experiment, int argc, char** argv);
 
 // Resolves --out into the stream the report writes to: stdout when empty,
 // else `file` opened at o.out (staged to o.out + ".tmp" and published by

@@ -6,9 +6,8 @@
 // checkpoints (--checkpoint/--resume); `merge` folds shard reports back
 // into the unsharded table, bit for bit; `soak` drives seed-driven chaos
 // campaigns (harness/chaos.h) over the matched scenarios with streaming
-// invariant checking and optional repro minimization. The historical
-// bench_* binaries are thin wrappers over the same registry
-// (`bench_table1` == `ssbft_bench run table1`).
+// invariant checking and optional repro minimization. Every bench table
+// is an experiment: `ssbft_bench run table1` prints Table 1.
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -281,7 +280,7 @@ int soak_command(int argc, char** argv) {
   }
   const BenchOptions o =
       parse_cli("ssbft_bench soak", static_cast<int>(rest.size()),
-                rest.data(), /*first=*/0, /*wrapper_note=*/false);
+                rest.data(), /*first=*/0);
   if (o.trials != 0 || o.seed != 0) {
     std::cerr << "ssbft_bench soak: --trials/--seed don't apply here — every "
                  "unit is one trial whose seed derives from "
@@ -332,8 +331,7 @@ int main(int argc, char** argv) {
                      "glob (try `ssbft_bench list`)\n";
         return 2;
       }
-      const BenchOptions o = parse_cli("ssbft_bench run", argc, argv, 3,
-                                       /*wrapper_note=*/false);
+      const BenchOptions o = parse_cli("ssbft_bench run", argc, argv, 3);
       return run_command(argv[2], o);
     }
     if (command == "merge") {

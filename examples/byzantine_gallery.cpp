@@ -11,6 +11,7 @@
 #include <iostream>
 #include <string>
 
+#include "harness/checkpoint.h"
 #include "harness/scenario.h"
 #include "harness/sweep.h"
 #include "harness/table.h"
@@ -18,7 +19,12 @@
 using namespace ssbft;
 
 int main(int argc, char** argv) {
-  const std::uint64_t trials = argc > 1 ? std::stoull(argv[1]) : 40;
+  std::uint64_t trials = 40;
+  if (argc > 2 || (argc == 2 && !parse_u64_strict(argv[1], &trials))) {
+    std::cerr << "byzantine_gallery: usage: byzantine_gallery [trials] "
+                 "(a non-negative integer)\n";
+    return 2;
+  }
   const struct {
     const char* scenario;
     const char* label;

@@ -24,8 +24,8 @@
 // *every* adversary via additional oblivious-coin machinery; this simpler
 // graded-inclusion rule can diverge when an adversarial dealing lands on
 // the grade-1/grade-0 boundary at different correct nodes. That gap is a
-// documented substitution (DESIGN.md): bench_coin_quality measures the
-// realized p0/p1 per adversary, including a dedicated grade-splitting
+// documented substitution (DESIGN.md): `ssbft_bench run coin_quality`
+// measures the realized p0/p1 per adversary, including a dedicated grade-splitting
 // attacker, and the clock layer above consumes only the measured
 // constants.
 //

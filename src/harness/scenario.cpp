@@ -12,6 +12,7 @@
 #include "baselines/pipelined_ba_clock.h"
 #include "coin/coin_pipeline.h"
 #include "coin/fm_coin.h"
+#include "coin/local_coin.h"
 #include "coin/oracle_coin.h"
 #include "core/cascade.h"
 #include "core/clock2.h"
@@ -78,29 +79,6 @@ std::unique_ptr<Adversary> make_attack(Attack a, ClockValue k,
   return make_silent_adversary();
 }
 
-namespace {
-
-CoinPipelineMode pipeline_mode(const World& w) {
-  return w.shared_pipeline ? CoinPipelineMode::kShared
-                           : CoinPipelineMode::kPerSubClock;
-}
-
-// Adversary for a world: honors the world's noise tuning, and (for
-// beacon-backed families) kAntiCoin rushing the beacon on
-// `clock_channel`; everything else goes through make_attack.
-std::unique_ptr<Adversary> make_world_attack(
-    const World& w, ClockValue attack_k, ChannelId coin_base,
-    const std::shared_ptr<OracleBeacon>& beacon, ChannelId clock_channel) {
-  if (w.attack == Attack::kAntiCoin) {
-    SSBFT_REQUIRE_MSG(beacon != nullptr,
-                      "anti-coin adversary requires an oracle-coin world");
-    return make_anti_coin_adversary(beacon, clock_channel);
-  }
-  return make_attack(w.attack, attack_k, coin_base, w.noise_msgs_per_beat);
-}
-
-}  // namespace
-
 EngineConfig world_config(const World& w, std::uint64_t seed) {
   EngineConfig cfg;
   cfg.n = w.n;
@@ -125,190 +103,129 @@ EngineConfig world_config(const World& w, std::uint64_t seed) {
   return cfg;
 }
 
-// ss-Byz-Clock-Sync (the paper).
-EngineBuilder build_clock_sync(World w) {
-  return [w](std::uint64_t seed) {
-    EngineBundle b;
-    CoinSpec spec;
-    std::shared_ptr<OracleBeacon> beacon;
-    if (w.coin == CoinKind::kOracle) {
-      beacon = std::make_shared<OracleBeacon>(w.n, OracleCoinParams{0.45, 0.45},
-                                              Rng(seed).split("beacon"));
-      spec = oracle_coin_spec(beacon);
-    } else {
-      spec = fm_coin_spec();
-    }
-    const CoinPipelineMode mode = pipeline_mode(w);
-    const auto coin_base = static_cast<ChannelId>(
-        3 + SsByz4Clock::channels_needed(spec, mode));
-    std::unique_ptr<Adversary> adv;
-    if (w.actual != 0) {
-      adv = make_world_attack(w, w.k, coin_base, beacon, 0);
-    }
-    auto factory = [spec, k = w.k, mode](const ProtocolEnv& env, Rng rng) {
-      return std::make_unique<SsByzClockSync>(env, k, spec, rng, 0, mode);
-    };
-    b.engine = std::make_unique<Engine>(world_config(w, seed), factory,
-                                        std::move(adv));
-    if (beacon) {
-      b.engine->add_listener(beacon.get());
-      b.keepalive = beacon;
-    }
-    return b;
-  };
+namespace {
+
+// Families whose protocol runs on a coin (the rest draw local randomness).
+bool consumes_coin(Family family) {
+  return family != Family::kDolevWelch && family != Family::kPipelinedQueen &&
+         family != Family::kPipelinedKing;
 }
 
-// ss-Byz-4-Clock building block (Remark 4.1 ablation).
-EngineBuilder build_clock4(World w) {
-  return [w](std::uint64_t seed) {
-    EngineBundle b;
-    CoinSpec spec;
-    std::shared_ptr<OracleBeacon> beacon;
-    if (w.coin == CoinKind::kOracle) {
-      beacon = std::make_shared<OracleBeacon>(w.n, OracleCoinParams{0.45, 0.45},
-                                              Rng(seed).split("beacon"));
-      spec = oracle_coin_spec(beacon);
-    } else {
-      spec = fm_coin_spec();
-    }
-    const CoinPipelineMode mode = pipeline_mode(w);
-    std::unique_ptr<Adversary> adv;
-    if (w.actual != 0) {
-      // The 4-clock's modulus is fixed; attacks that take a k see 4.
-      adv = make_world_attack(w, 4, 0, beacon, 0);
-    }
-    auto factory = [spec, mode](const ProtocolEnv& env, Rng rng) {
-      return std::make_unique<SsByz4Clock>(env, spec, 0, rng, mode);
-    };
-    b.engine = std::make_unique<Engine>(world_config(w, seed), factory,
-                                        std::move(adv));
-    if (beacon) {
-      b.engine->add_listener(beacon.get());
-      b.keepalive = beacon;
-    }
-    return b;
-  };
-}
+// What one family contributes to a world: its protocol over the chosen
+// coin, the modulus the clock-aware attacks (skew, adaptive) aim at, and
+// the channel of its first coin pipeline (the FM-coin attacker's target).
+struct FamilyStack {
+  ProtocolFactory factory;
+  ClockValue attack_k;
+  ChannelId coin_base;
+};
 
-// ss-Byz-2-Clock on the oracle coin (gallery / convergence-tail worlds).
-EngineBuilder build_clock2(World w) {
-  return [w](std::uint64_t seed) {
-    EngineBundle b;
-    auto beacon = std::make_shared<OracleBeacon>(
-        w.n, OracleCoinParams{0.45, 0.45}, Rng(seed).split("beacon"));
-    CoinSpec spec = oracle_coin_spec(beacon);
-    std::unique_ptr<Adversary> adv;
-    if (w.actual != 0) {
-      adv = make_world_attack(w, 2, 0, beacon, 0);
-    }
-    auto factory = [spec](const ProtocolEnv& env, Rng rng) {
-      return std::make_unique<SsByz2Clock>(env, spec, 0, rng);
-    };
-    b.engine = std::make_unique<Engine>(world_config(w, seed), factory,
-                                        std::move(adv));
-    b.engine->add_listener(beacon.get());
-    b.keepalive = beacon;
-    return b;
-  };
-}
-
-// Section 5 cascade (2^levels-clock).
-EngineBuilder build_cascade(World w, std::uint32_t levels) {
-  return [w, levels](std::uint64_t seed) {
-    EngineBundle b;
-    auto beacon = std::make_shared<OracleBeacon>(
-        w.n, OracleCoinParams{0.45, 0.45}, Rng(seed).split("beacon"));
-    CoinSpec spec = oracle_coin_spec(beacon);
-    std::unique_ptr<Adversary> adv;
-    if (w.actual != 0) {
-      adv = make_world_attack(w, w.k, 0, beacon, 0);
-    }
-    auto factory = [spec, levels](const ProtocolEnv& env, Rng rng) {
-      return std::make_unique<CascadeClock>(env, levels, spec, rng);
-    };
-    b.engine = std::make_unique<Engine>(world_config(w, seed), factory,
-                                        std::move(adv));
-    b.engine->add_listener(beacon.get());
-    b.keepalive = beacon;
-    return b;
-  };
-}
-
-// Dolev-Welch randomized baseline ([10] sync row).
-EngineBuilder build_dolev_welch(World w) {
-  return [w](std::uint64_t seed) {
-    EngineBundle b;
-    auto adv = w.actual == 0 ? nullptr
-                   : make_world_attack(w, w.k, 0, nullptr, 0);
-    auto factory = [k = w.k](const ProtocolEnv& env, Rng rng) {
-      return std::make_unique<DolevWelchClock>(env, k, rng);
-    };
-    b.engine = std::make_unique<Engine>(world_config(w, seed), factory,
-                                        std::move(adv));
-    return b;
-  };
-}
-
-// Section 6.1 retrofit: the DW gamble over a shared (oracle or FM) coin.
-EngineBuilder build_dolev_welch_shared(World w) {
-  return [w](std::uint64_t seed) {
-    EngineBundle b;
-    CoinSpec spec;
-    std::shared_ptr<OracleBeacon> beacon;
-    if (w.coin == CoinKind::kOracle) {
-      beacon = std::make_shared<OracleBeacon>(w.n, OracleCoinParams{0.45, 0.45},
-                                              Rng(seed).split("beacon"));
-      spec = oracle_coin_spec(beacon);
-    } else {
-      spec = fm_coin_spec();
-    }
-    std::unique_ptr<Adversary> adv;
-    if (w.actual != 0) {
-      adv = make_world_attack(w, w.k, 0, beacon, 0);
-    }
-    auto factory = [spec, k = w.k](const ProtocolEnv& env, Rng rng) {
-      return std::make_unique<DolevWelchSharedCoin>(env, k, spec, rng);
-    };
-    b.engine = std::make_unique<Engine>(world_config(w, seed), factory,
-                                        std::move(adv));
-    if (beacon) {
-      b.engine->add_listener(beacon.get());
-      b.keepalive = beacon;
-    }
-    return b;
-  };
-}
-
-// Pipelined-BA deterministic baselines ([15] = queen, [7] = king).
-EngineBuilder build_pipelined(World w, bool king) {
-  return [w, king](std::uint64_t seed) {
-    EngineBundle b;
-    const BaSpec spec =
-        turpin_coan_spec(king ? phase_king_spec() : phase_queen_spec());
-    auto adv = w.actual == 0 ? nullptr
-                   : make_world_attack(w, w.k, 0, nullptr, 0);
-    auto factory = [spec, k = w.k](const ProtocolEnv& env, Rng rng) {
-      return std::make_unique<PipelinedBaClock>(env, k, spec, rng);
-    };
-    b.engine = std::make_unique<Engine>(world_config(w, seed), factory,
-                                        std::move(adv));
-    return b;
-  };
-}
-
-EngineBuilder build_world(Family family, const World& w) {
+FamilyStack family_stack(Family family, const World& w, const CoinSpec& coin) {
+  const CoinPipelineMode mode = w.shared_pipeline
+                                    ? CoinPipelineMode::kShared
+                                    : CoinPipelineMode::kPerSubClock;
+  const ClockValue k = w.k;
   switch (family) {
-    case Family::kClockSync: return build_clock_sync(w);
-    case Family::kClock4: return build_clock4(w);
-    case Family::kClock2: return build_clock2(w);
-    case Family::kCascade: return build_cascade(w, w.levels);
-    case Family::kDolevWelch: return build_dolev_welch(w);
-    case Family::kDolevWelchShared: return build_dolev_welch_shared(w);
-    case Family::kPipelinedQueen: return build_pipelined(w, /*king=*/false);
-    case Family::kPipelinedKing: return build_pipelined(w, /*king=*/true);
+    case Family::kClockSync:
+      // Channels 0..2 carry the clock rounds, then the 4-clock, then the
+      // phase-3 coin.
+      return {[coin, k, mode](const ProtocolEnv& env, Rng rng) {
+                return std::make_unique<SsByzClockSync>(env, k, coin, rng, 0,
+                                                        mode);
+              },
+              k,
+              static_cast<ChannelId>(
+                  3 + SsByz4Clock::channels_needed(coin, mode))};
+    case Family::kClock4:
+      // The 4-clock's modulus is fixed. Per sub-clock, A1's coin sits
+      // after A1's clock channel; shared, the one pipeline follows both
+      // sub-clocks' clock channels.
+      return {[coin, mode](const ProtocolEnv& env, Rng rng) {
+                return std::make_unique<SsByz4Clock>(env, coin, 0, rng, mode);
+              },
+              4, mode == CoinPipelineMode::kShared ? ChannelId{2}
+                                                   : ChannelId{1}};
+    case Family::kClock2:
+      return {[coin](const ProtocolEnv& env, Rng rng) {
+                return std::make_unique<SsByz2Clock>(env, coin, 0, rng);
+              },
+              2, 1};
+    case Family::kCascade:
+      // Level 0 is a 2-clock rooted at channel 0.
+      SSBFT_REQUIRE_MSG(w.levels >= 1 && w.levels < 63,
+                        "cascade needs 1 <= levels < 63, got " << w.levels);
+      return {[coin, levels = w.levels](const ProtocolEnv& env, Rng rng) {
+                return std::make_unique<CascadeClock>(env, levels, coin, rng);
+              },
+              ClockValue{1} << w.levels, 1};
+    case Family::kDolevWelch:
+      return {[k](const ProtocolEnv& env, Rng rng) {
+                return std::make_unique<DolevWelchClock>(env, k, rng);
+              },
+              k, 0};
+    case Family::kDolevWelchShared:
+      return {[coin, k](const ProtocolEnv& env, Rng rng) {
+                return std::make_unique<DolevWelchSharedCoin>(env, k, coin,
+                                                              rng);
+              },
+              k, 1};
+    case Family::kPipelinedQueen:
+    case Family::kPipelinedKing: {
+      const BaSpec ba = turpin_coan_spec(family == Family::kPipelinedKing
+                                             ? phase_king_spec()
+                                             : phase_queen_spec());
+      return {[ba, k](const ProtocolEnv& env, Rng rng) {
+                return std::make_unique<PipelinedBaClock>(env, k, ba, rng);
+              },
+              k, 0};
+    }
   }
   SSBFT_CHECK(false);
-  return build_clock_sync(w);
+  return {};
+}
+
+}  // namespace
+
+EngineBuilder build_world(Family family, const World& w) {
+  return [family, w](std::uint64_t seed) {
+    std::shared_ptr<OracleBeacon> beacon;
+    CoinSpec coin;
+    if (consumes_coin(family)) {
+      switch (w.coin) {
+        case CoinKind::kOracle:
+          beacon = std::make_shared<OracleBeacon>(w.n, OracleCoinParams{},
+                                                  Rng(seed).split("beacon"));
+          coin = oracle_coin_spec(beacon);
+          break;
+        case CoinKind::kFm:
+          coin = fm_coin_spec();
+          break;
+        case CoinKind::kLocal:
+          coin = local_coin_spec();
+          break;
+      }
+    }
+    const FamilyStack stack = family_stack(family, w, coin);
+    std::unique_ptr<Adversary> adv;
+    if (w.actual != 0) {
+      if (w.attack == Attack::kAntiCoin) {
+        SSBFT_REQUIRE_MSG(beacon != nullptr,
+                          "anti-coin adversary requires an oracle-coin world");
+        adv = make_anti_coin_adversary(beacon, 0);
+      } else {
+        adv = make_attack(w.attack, stack.attack_k, stack.coin_base,
+                          w.noise_msgs_per_beat);
+      }
+    }
+    EngineBundle b;
+    b.engine = std::make_unique<Engine>(world_config(w, seed), stack.factory,
+                                        std::move(adv));
+    if (beacon) {
+      b.engine->add_listener(beacon.get());
+      b.keepalive = beacon;
+    }
+    return b;
+  };
 }
 
 EngineBuilder build_scenario(const ScenarioSpec& spec) {
@@ -326,10 +243,10 @@ RunnerConfig scenario_runner_config(const ScenarioSpec& spec) {
 
 // ---------------------------------------------------------------------------
 // Registry. Covers every convergence cell of the bench tables (the
-// steady-state single-engine measurements of bench_coin_quality /
-// bench_message_complexity are experiment-internal — they are bit-stream
-// and traffic probes, not trial cells) plus the network/transient-fault
-// variants that have no bench of their own.
+// steady-state single-engine measurements of the coin_quality and
+// message_complexity experiments are experiment-internal — they are
+// bit-stream and traffic probes, not trial cells) plus the
+// network/transient-fault variants that have no bench of their own.
 
 namespace {
 
@@ -343,11 +260,8 @@ std::string world_blurb(Family fam, const World& w) {
     os << " k=" << w.k;
   }
   if (w.actual != 0) os << ", " << attack_name(w.attack);
-  if (w.coin == CoinKind::kFm &&
-      (fam == Family::kClockSync || fam == Family::kClock4 ||
-       fam == Family::kDolevWelchShared)) {
-    os << ", FM coin";
-  }
+  if (consumes_coin(fam) && w.coin == CoinKind::kFm) os << ", FM coin";
+  if (consumes_coin(fam) && w.coin == CoinKind::kLocal) os << ", local coin";
   if (w.shared_pipeline != 0) os << ", shared pipeline";
   if (w.faults.faulty_drop_prob > 0.0) {
     os << ", drop " << w.faults.faulty_drop_prob << " until beat "
@@ -396,7 +310,7 @@ std::vector<ScenarioSpec> make_registry() {
     specs.push_back(std::move(s));
   };
 
-  // --- Table 1 (bench_table1): four families x (n, f), k = 64. ---------
+  // --- Table 1 (experiment table1): four families x (n, f), k = 64. ----
   struct NF {
     std::uint32_t n, f;
   };
@@ -444,7 +358,7 @@ std::vector<ScenarioSpec> make_registry() {
         5000 + n, 8000);
   }
 
-  // --- Large-n scaling grid (bench_table1's table1-large experiment):
+  // --- Large-n scaling grid (experiment table1-large):
   // first cells past n=13, sized to exercise the SIMD field and codec
   // kernels at wide n. f = floor((n-1)/3) is the paper's maximal
   // resilience; trials stay small because a single n=128 FM-coin beat
@@ -476,7 +390,7 @@ std::vector<ScenarioSpec> make_registry() {
         Family::kClockSync, wa, 3, 9200 + n, 8000);
   }
 
-  // --- Resiliency boundaries (bench_resiliency): n = 13, sweep actual. --
+  // --- Resiliency boundaries (experiment resiliency): n = 13, sweep actual.
   for (std::uint32_t actual : {0u, 2u, 3u, 4u, 5u}) {
     World wq;
     wq.n = 13;
@@ -495,7 +409,7 @@ std::vector<ScenarioSpec> make_registry() {
         10, 77, 8000, 24);
   }
 
-  // --- k-scaling (bench_kclock_scaling): n = 4, f = 1, noise. ----------
+  // --- k-scaling (experiment kclock_scaling): n = 4, f = 1, noise. -----
   for (std::uint32_t levels = 2; levels <= 8; levels += 2) {
     const ClockValue k = ClockValue{1} << levels;
     World w;
@@ -511,7 +425,7 @@ std::vector<ScenarioSpec> make_registry() {
         60 + levels, 30000, 2 * k + 8);
   }
 
-  // --- Coin leverage (bench_coin_leverage): k = 8. ---------------------
+  // --- Coin leverage (experiment coin_leverage): k = 8. ----------------
   for (const auto [n, f] : {NF{4, 1}, NF{7, 2}, NF{10, 3}}) {
     World w;
     w.n = n;
@@ -546,7 +460,7 @@ std::vector<ScenarioSpec> make_registry() {
         20, 95 + n, 20000);
   }
 
-  // --- Remark 4.1 ablation (bench_ablation_pipeline): FM coin, noise. --
+  // --- Remark 4.1 ablation (experiment ablation_pipeline): FM, noise. --
   {
     World w;
     w.n = 4;
@@ -566,7 +480,7 @@ std::vector<ScenarioSpec> make_registry() {
     }
   }
 
-  // --- Convergence tail (bench_convergence_tail). ----------------------
+  // --- Convergence tail (experiment convergence_tail). -----------------
   {
     World w;
     w.n = 4;

@@ -3,8 +3,8 @@
 // world, adversary, coin, and the FaultPlan network/transient axes — plus
 // the trial-run defaults (trials, seed, beat budget) that make it a cell
 // of a sweep. Every bench table row is registered here by name, so tests,
-// the `ssbft_bench` driver and the thin bench wrappers all build the same
-// engines from the same specs.
+// the examples and the `ssbft_bench` driver all build the same engines
+// from the same specs through one builder, build_world.
 #pragma once
 
 #include <memory>
@@ -21,6 +21,7 @@ namespace ssbft {
 enum class CoinKind {
   kOracle,  // idealized beacon with p0 = p1 = 0.45 (layer isolation)
   kFm,      // full message-level GVSS coin
+  kLocal,   // independent local coin flips (the no-shared-coin control)
 };
 
 // Adversary selection, uniform across families.
@@ -29,7 +30,7 @@ enum class Attack {
   kNoise,
   kSplit,      // equivocates 0/1 on channel 0
   kSkew,       // conflicting clock stories on channels 0..2
-  kCoinAttack, // FM-coin attacker on the given channel base (FM runs only)
+  kCoinAttack, // FM-coin attacker on the family's first coin pipeline
   kAntiCoin,   // oracle-rushing anti-coin adversary (beacon families only)
   kAdaptive,   // adaptive quorum splitter on the clock channel
 };
@@ -38,7 +39,7 @@ enum class Attack {
 enum class Family {
   kClockSync,        // ss-Byz-Clock-Sync (the paper)
   kClock4,           // ss-Byz-4-Clock building block
-  kClock2,           // ss-Byz-2-Clock on the oracle coin
+  kClock2,           // ss-Byz-2-Clock building block
   kCascade,          // Section 5 cascade (2^levels-clock)
   kDolevWelch,       // Dolev-Welch randomized baseline ([10] sync row)
   kDolevWelchShared, // Section 6.1 retrofit: DW gamble on a shared coin
@@ -53,6 +54,7 @@ struct World {
   std::uint32_t n = 4;
   std::uint32_t f = 1;      // protocol's assumed bound
   std::uint32_t actual = 1; // actually-faulty node count (for boundary runs)
+  // Clock modulus (clock2 and clock4 fix theirs; cascade runs 2^levels).
   ClockValue k = 64;
   Attack attack = Attack::kSkew;
   // kNoise only: messages sprayed per faulty node per beat (the gallery's
@@ -65,7 +67,8 @@ struct World {
   // ablation). Numeric to avoid dragging coin_pipeline.h into every
   // bench: 0 = per-sub-clock (the default), 1 = shared.
   std::uint32_t shared_pipeline = 0;
-  // Per-channel byte accounting (bench_message_complexity's breakdown).
+  // Per-channel byte accounting (the message_complexity experiment's
+  // per-round breakdown).
   bool track_channel_bytes = false;
   // Network/transient fault axes (drop probability, phantom injection,
   // mid-run corruption schedule), passed through to the engine.
@@ -78,25 +81,18 @@ struct World {
 };
 
 // Beacon-free attacks (everything but kAntiCoin, which needs the world's
-// oracle beacon and is built inside the family builders). noise_msgs
-// tunes kNoise only (World::noise_msgs_per_beat flows through here).
+// oracle beacon and is built inside build_world). noise_msgs tunes kNoise
+// only (World::noise_msgs_per_beat flows through here).
 std::unique_ptr<Adversary> make_attack(Attack a, ClockValue k,
                                        ChannelId coin_base,
                                        std::uint32_t noise_msgs = 8);
 
 EngineConfig world_config(const World& w, std::uint64_t seed);
 
-// Family builders. Each returns an EngineBuilder that constructs one
-// seeded engine (plus keepalive beacon where the coin needs one).
-EngineBuilder build_clock_sync(World w);
-EngineBuilder build_clock4(World w);
-EngineBuilder build_clock2(World w);
-EngineBuilder build_cascade(World w, std::uint32_t levels);
-EngineBuilder build_dolev_welch(World w);
-EngineBuilder build_dolev_welch_shared(World w);
-EngineBuilder build_pipelined(World w, bool king);
-
-// Dispatch on the family enum (the registry path).
+// The one world builder: an EngineBuilder that constructs one seeded
+// engine running `family` over w.coin (families without a coin ignore
+// it) under w.attack, plus the keepalive oracle beacon when the coin
+// needs one.
 EngineBuilder build_world(Family family, const World& w);
 
 // ---------------------------------------------------------------------------

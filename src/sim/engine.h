@@ -40,7 +40,7 @@ struct EngineConfig {
   // Accumulate correct-node sent bytes per channel (one extra pass over
   // the beat's messages; off by default). Read via channel_bytes(); reset
   // via reset_channel_bytes() after warmup. Used by the per-round traffic
-  // breakdown in bench_message_complexity.
+  // breakdown in `ssbft_bench run message_complexity`.
   bool track_channel_bytes = false;
 
   // The highest-id nodes are faulty by default.

@@ -11,10 +11,17 @@
 #include <mutex>
 #include <sstream>
 
+#include "adversary/adversaries.h"
+#include "baselines/dolev_welch.h"
+#include "coin/fm_coin.h"
+#include "core/clock4.h"
+#include "core/clock_sync.h"
+#include "harness/checker.h"
 #include "harness/convergence.h"
 #include "harness/report.h"
 #include "harness/scenario.h"
 #include "harness/sweep.h"
+#include "sim/trace.h"
 
 namespace ssbft {
 namespace {
@@ -462,6 +469,89 @@ TEST(Scenario, WorldFaultPlanReachesEngineConfig) {
   EXPECT_EQ(cfg.faults.faulty_drop_prob, 0.5);
   EXPECT_EQ(cfg.faults.phantoms_per_beat, 3u);
   EXPECT_EQ(cfg.seed, 99u);
+}
+
+// The FM-coin attacker must be aimed at the family's first coin pipeline,
+// not at a clock channel: build_world's kCoinAttack engine replays exactly
+// a hand-built engine whose attacker targets that pipeline's channel.
+
+// Commitment of `beats` traced beats of `eng` (JSONL -> parse -> merge).
+std::string run_commitment(Engine& eng, std::uint64_t beats) {
+  std::ostringstream out;
+  JsonlTraceSink sink(out);
+  TraceMeta meta;
+  meta.scenario = "coin-attack";
+  meta.n = eng.n();
+  meta.f = eng.f();
+  for (NodeId id = 0; id < eng.n(); ++id) {
+    if (eng.is_faulty(id)) meta.faulty.push_back(id);
+  }
+  meta.max_beats = beats;
+  sink.begin_trace(meta);
+  eng.set_trace(&sink);
+  eng.run_beats(beats);
+  std::istringstream in(out.str());
+  ParseResult p = parse_trace(in);
+  EXPECT_TRUE(p.ok) << p.error;
+  std::vector<ParsedTrace> parts;
+  parts.push_back(std::move(p.trace));
+  MergeResult m = merge_traces(std::move(parts));
+  EXPECT_TRUE(m.ok) << m.error;
+  return m.traces.empty() ? std::string() : trace_commitment(m.traces[0]);
+}
+
+TEST(Scenario, CoinAttackAimsAtTheFamilysFirstCoinPipeline) {
+  const CoinSpec fm = fm_coin_spec();
+  struct Case {
+    const char* name;
+    Family fam;
+    std::uint32_t shared_pipeline;
+    ChannelId coin_base;
+    ProtocolFactory factory;
+  };
+  const ClockValue k = 8;
+  const Case cases[] = {
+      {"dw-shared", Family::kDolevWelchShared, 0, 1,
+       [fm, k](const ProtocolEnv& env, Rng rng) {
+         return std::make_unique<DolevWelchSharedCoin>(env, k, fm, rng);
+       }},
+      {"clock4/per-subclock", Family::kClock4, 0, 1,
+       [fm](const ProtocolEnv& env, Rng rng) {
+         return std::make_unique<SsByz4Clock>(env, fm, 0, rng,
+                                              CoinPipelineMode::kPerSubClock);
+       }},
+      {"clock4/shared", Family::kClock4, 1, 2,
+       [fm](const ProtocolEnv& env, Rng rng) {
+         return std::make_unique<SsByz4Clock>(env, fm, 0, rng,
+                                              CoinPipelineMode::kShared);
+       }},
+      {"clock-sync", Family::kClockSync, 0,
+       static_cast<ChannelId>(3 + SsByz4Clock::channels_needed(
+                                      fm, CoinPipelineMode::kPerSubClock)),
+       [fm, k](const ProtocolEnv& env, Rng rng) {
+         return std::make_unique<SsByzClockSync>(env, k, fm, rng);
+       }},
+  };
+  const std::uint64_t seed = 41, beats = 48;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    World w;
+    w.n = 4;
+    w.f = 1;
+    w.actual = 1;
+    w.k = k;
+    w.coin = CoinKind::kFm;
+    w.attack = Attack::kCoinAttack;
+    w.shared_pipeline = c.shared_pipeline;
+    EngineBundle built = build_world(c.fam, w)(seed);
+    Engine aimed(world_config(w, seed), c.factory,
+                 make_fm_coin_attacker(c.coin_base));
+    Engine at_zero(world_config(w, seed), c.factory, make_fm_coin_attacker(0));
+    const std::string expected = run_commitment(aimed, beats);
+    EXPECT_EQ(run_commitment(*built.engine, beats), expected);
+    // Control: the aim is observable — channel 0 is a clock channel.
+    EXPECT_NE(run_commitment(at_zero, beats), expected);
+  }
 }
 
 // ------------------------------------------------------------------ report
